@@ -123,15 +123,19 @@ RUNNERS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    # argparse checks a positional's default against ``choices`` and rejects
+    # any list, so names are checked here and no name means all examples.
     parser.add_argument(
         "examples",
         nargs="*",
-        choices=[*RUNNERS, "all"],
-        default=["all"],
-        help="which examples to run (default: all)",
+        metavar="EXAMPLE",
+        help=f"which examples to run: {', '.join(RUNNERS)} or all (default: all)",
     )
     args = parser.parse_args(argv)
-    selected = list(RUNNERS) if "all" in args.examples else args.examples
+    unknown = [name for name in args.examples if name not in RUNNERS and name != "all"]
+    if unknown:
+        parser.error(f"invalid choice: {unknown[0]!r} (choose from {', '.join([*RUNNERS, 'all'])})")
+    selected = list(RUNNERS) if not args.examples or "all" in args.examples else args.examples
     for name in selected:
         RUNNERS[name]()
     return 0

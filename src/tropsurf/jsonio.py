@@ -9,6 +9,7 @@ indentation, no floats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import is_dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -24,6 +25,8 @@ def parse_fraction(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InvalidConfig(f"not a finite number: {value!r}")
         if value != int(value):
             raise InvalidConfig(
                 f"non-integral float {value!r}: pass rationals as strings like '3/4'"

@@ -2,8 +2,11 @@
 
 Point sets here are tiny (a handful of monomial exponents), so hulls are
 computed by exhaustive supporting-hyperplane search and lattice points by a
-bounding-box scan with exact half-space tests.  Everything is integer or
-`Fraction` arithmetic; nothing in this module ever rounds.
+bounding-box scan with exact half-space tests.  The hull search runs on
+integers: each coordinate is scaled by the lcm of its denominators, the
+normal of each candidate hyperplane is the cofactor vector of its integer
+difference rows, and support is decided by integer dot products.  Everything
+is integer or `Fraction` arithmetic; nothing in this module ever rounds.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import (
@@ -26,7 +29,6 @@ from .linalg import (
     dot,
     kernel_basis,
     mat,
-    primitive,
     rank,
     solve_affine,
     vec,
@@ -122,6 +124,17 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
         Facet list with incident point indices.  Degenerate input (affine
         span of dimension below ``ambient_dim``) yields the hull computed
         inside the span together with the span itself.
+
+    Notes
+    -----
+    Full-dimensional input is mapped to integers by ``q = D p`` with
+    ``D = diag(lcm of coordinate i's denominators)``.  ``D`` is positive, so
+    the map keeps every orientation and incidence.  For each ``ambient_dim``
+    points, the cofactor vector ``n`` of their difference rows is normal to
+    their hyperplane, and it is zero exactly when the points span less than
+    a hyperplane.  The hyperplane is a facet when all integer values
+    ``n . q`` lie on one side; it is reported as ``primitive(D n)`` with a
+    rational offset, the same facet in the input coordinates.
     """
     assert ambient_dim in (2, 3, 4), f"unsupported ambient dimension {ambient_dim}"
     pts = [vec(p) for p in points]
@@ -144,16 +157,19 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
             inner = convex_hull(local, dim).facets
         return Hull(ambient=ambient_dim, dim=dim, facets=inner, span_base=base, span_basis=basis)
 
-    seen: dict[tuple[tuple[int, ...], Fraction], frozenset[int]] = {}
-    for combo in combinations(range(len(pts)), ambient_dim):
-        rows = mat([vec_sub(pts[i], pts[combo[0]]) for i in combo[1:]])
-        if rank(rows) != ambient_dim - 1:
+    # q = D p with D = diag(lcm of each coordinate's denominators) > 0: an
+    # integer image with the same orientations and incidences.
+    scale = [lcm(*(p[i].denominator for p in pts)) for i in range(ambient_dim)]
+    qs = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scale)) for p in pts]
+    seen: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
+    for combo in combinations(range(len(qs)), ambient_dim):
+        q0 = qs[combo[0]]
+        rows = [tuple(a - b for a, b in zip(qs[i], q0)) for i in combo[1:]]
+        n = _cofactor_normal(rows)
+        if not any(n):  # the rows have rank < ambient_dim - 1
             continue
-        normal_space = kernel_basis(rows)
-        assert len(normal_space) == 1, "hyperplane normal not unique"
-        n = primitive(normal_space[0])
-        c = dot(vec(n), pts[combo[0]])
-        values = [dot(vec(n), p) for p in pts]
+        c = sum(a * b for a, b in zip(n, q0))
+        values = [sum(a * b for a, b in zip(n, q)) for q in qs]
         if all(v <= c for v in values):
             pass
         elif all(v >= c for v in values):
@@ -162,15 +178,36 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
             values = [-v for v in values]
         else:
             continue
-        incident = frozenset(i for i, v in enumerate(values) if v == c)
-        seen[(n, c)] = incident
-    facets = tuple(
-        sorted(
-            (Facet(n, c, inc) for (n, c), inc in seen.items()),
-            key=lambda f: (f.normal, f.offset),
+        g = gcd(*n)
+        seen[(tuple(x // g for x in n), c // g)] = frozenset(
+            i for i, v in enumerate(values) if v == c
         )
+    facets = []
+    for (n, c), incident in seen.items():
+        # n . q <= c  <=>  (D n) . p <= c; primitive(D n) = D n / g
+        scaled = [a * s for a, s in zip(n, scale)]
+        g = gcd(*scaled)
+        facets.append(Facet(tuple(x // g for x in scaled), Fraction(c, g), incident))
+    facets.sort(key=lambda f: (f.normal, f.offset))
+    return Hull(
+        ambient=ambient_dim, dim=ambient_dim, facets=tuple(facets), span_base=base, span_basis=()
     )
-    return Hull(ambient=ambient_dim, dim=ambient_dim, facets=facets, span_base=base, span_basis=())
+
+
+def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Cofactor vector of d - 1 rows of length d: orthogonal to every row.
+
+    Entry j is (-1)^j times the minor without column j; the vector is zero
+    exactly when the rows are linearly dependent.
+    """
+    d = len(rows) + 1
+    if d == 2:
+        return (rows[0][1], -rows[0][0])
+    minors = []
+    for j in range(d):
+        keep = [[r[k] for k in range(d) if k != j] for r in rows]
+        minors.append(det2(*keep) if d == 3 else det3(*keep))
+    return tuple(m if j % 2 == 0 else -m for j, m in enumerate(minors))
 
 
 def _independent_rows(m: Matrix, target: int) -> tuple[Vector, ...]:

@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (hulls, regular subdivisions, dual complexes, matroid
-rank computations) is decided by small dense rational systems, so this module
-keeps to straightforward fraction-free-of-surprises Gaussian elimination with
-first-nonzero pivoting.  No floats anywhere.
+rank computations) is decided by small dense rational systems.  ``rank``
+scales each row by the lcm of its denominators and runs Bareiss's
+fraction-free elimination on plain integers, so no ``Fraction`` is built on
+the hottest path.  ``kernel_basis`` and ``solve_affine`` need a reduced row
+echelon form and an infeasibility witness; they use ``_row_reduce``,
+Gauss-Jordan elimination in ``Fraction``s with first-nonzero pivoting.  No
+floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -101,11 +105,37 @@ def _row_reduce(m: Matrix) -> tuple[list[list[Fraction]], list[int], list[list[F
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank of a rational matrix."""
-    if not m:
-        return 0
-    _, pivots, _ = _row_reduce(m)
-    return len(pivots)
+    """Exact rank of a rational matrix, by fraction-free elimination.
+
+    Each row is scaled by the lcm of its denominators, which keeps the rank,
+    and the integer rows are eliminated by Bareiss's rule: after pivot ``p``
+    every remaining row becomes ``(p * row - row[c] * pivot_row) // prev``,
+    where ``prev`` is the previous pivot.  Each entry is then a minor of the
+    scaled matrix (Sylvester's identity), so the division is exact and the
+    entries stay as small as those minors.
+    """
+    rows = [_integer_row(r) for r in m]
+    ncols = len(rows[0]) if rows else 0
+    found = 0
+    prev = 1
+    for c in range(ncols):
+        pivot = next((i for i, row in enumerate(rows) if row[c] != 0), None)
+        if pivot is None:
+            continue
+        top = rows.pop(pivot)
+        p = top[c]
+        rows = [[(p * x - row[c] * y) // prev for x, y in zip(row, top)] for row in rows]
+        prev = p
+        found += 1
+        if not rows:
+            break
+    return found
+
+
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: integers, same direction."""
+    denom = lcm(*(x.denominator for x in row))
+    return [x.numerator * (denom // x.denominator) for x in row]
 
 
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
@@ -229,13 +259,8 @@ def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     The direction is preserved (positive multiple); the result has gcd 1.
     """
     assert any(x != 0 for x in v), "primitive: zero vector"
-    denom = 1
-    for x in v:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    ints = [int(Fraction(x) * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = _integer_row(v)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 

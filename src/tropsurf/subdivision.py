@@ -130,8 +130,7 @@ def _cell_vertices(cfg: PointConfig, marked: tuple[int, ...]) -> tuple[int, ...]
 
 
 def _stacked_rank(cfg: PointConfig, cells: Sequence[MarkedCell]) -> int:
-    stacked = _stacked_relations(cfg, cells)
-    return rank(mat(stacked)) if stacked else 0
+    return rank(mat(_stacked_relations(cfg, cells)))
 
 
 def _stacked_relations(cfg: PointConfig, cells: Sequence[MarkedCell]) -> list[Vector]:
@@ -189,10 +188,10 @@ def extract_circuit(cfg: PointConfig, subdivision: MarkedSubdivision) -> Circuit
     Verifies on the way that every marked cell not containing the circuit is
     a vertex-marked simplex (anything else contradicts codimension 1).
     """
-    codim = secondary_codim(cfg, subdivision)
+    stacked = _stacked_relations(cfg, subdivision.cells)
+    codim = rank(mat(stacked))
     if codim != 1:
         return NotCodimOne(codim=codim)
-    stacked = _stacked_relations(cfg, subdivision.cells)
     gen = next(v for v in stacked if any(x != 0 for x in v))
     lead = next(x for x in gen if x != 0)
     if lead < 0:

@@ -201,6 +201,19 @@ def test_invalid_json_exit_2(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_height_exit_2(capsys, tmp_path, token):
+    path = tmp_path / "non_finite.json"
+    path.write_text(
+        '{"points": [[0,0,0],[1,0,0],[0,1,0],[0,0,1],[1,1,1]], '
+        f'"heights": [0,0,0,0,{token}]}}'
+    )
+    code, out, err = run(capsys, "singular", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_degenerate_points_exit_2(capsys, tmp_path):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], "heights": [0, 0, 0, 0]}))

@@ -26,6 +26,26 @@ def test_parse_fraction_rejects(raw):
         parse_fraction(raw)
 
 
+@pytest.mark.parametrize("raw", [float("nan"), float("inf"), float("-inf")])
+def test_parse_fraction_rejects_non_finite(raw):
+    with pytest.raises(InvalidConfig, match="not a finite number"):
+        parse_fraction(raw)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_load_input_rejects_non_finite_json(text):
+    # json.loads accepts these tokens as floats; the input layer must not
+    raw = json.loads(
+        '{"points": [[0,0,0],[1,0,0],[0,1,0],[0,0,1],[1,1,1]], '
+        f'"heights": [0,0,0,0,{text}]}}'
+    )
+    with pytest.raises(InvalidConfig, match="not a finite number"):
+        load_input(raw)
+    raw = json.loads(f'{{"points": [[0,0,0],[1,0,0],[0,1,0],[0,0,{text}]]}}')
+    with pytest.raises(InvalidConfig, match="not a finite number"):
+        load_input(raw)
+
+
 def test_load_input_minimal():
     cfg, heights = load_input(
         {"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,3 +190,141 @@ def test_fast_pyramid_scan_matches_enumeration(k, y, z):
 def test_classify_circuit_permutation_invariant(perm):
     pts = [STANDARD_PLANAR_CIRCUIT[i] for i in perm]
     assert classify_circuit(pts) is CircuitType.C
+
+
+# ---------------------------------------------------------------------------
+# Differential test of convex_hull against a brute-force reference.
+# The reference uses only `fractions` and `itertools`: oracles must not share
+# the code they check, so nothing here comes from tropsurf.linalg.
+# ---------------------------------------------------------------------------
+
+
+def _ref_rref(rows):
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _ref_rank(rows):
+    return len(_ref_rref(rows)[1]) if rows else 0
+
+
+def _ref_sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _ref_dot(p, q):
+    return sum((a * b for a, b in zip(p, q)), F(0))
+
+
+def _ref_primitive(v):
+    denom = 1
+    for x in v:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+def _ref_normal(rows, d):
+    """The kernel direction of d - 1 independent rows of length d."""
+    red, pivots = _ref_rref(rows)
+    free = next(c for c in range(d) if c not in pivots)
+    v = [F(0)] * d
+    v[free] = F(1)
+    for r, c in enumerate(pivots):
+        v[c] = -red[r][free]
+    return v
+
+
+def _ref_coordinates(p, basis):
+    """Coefficients of p in the span of independent vectors (exact solve)."""
+    columns = [[b[i] for b in basis] + [p[i]] for i in range(len(p))]
+    red, pivots = _ref_rref(columns)
+    assert pivots == list(range(len(basis))), "point outside the span"
+    return tuple(red[k][len(basis)] for k in range(len(basis)))
+
+
+def reference_hull(points, d):
+    """(dim, [(normal, offset, incident)]) by exhaustive hyperplane search.
+
+    Degenerate input is handled inside its span, in the coordinates of the
+    first independent difference vectors, as the documented Hull contract
+    describes.
+    """
+    pts = [tuple(F(x) for x in p) for p in points]
+    diffs = [_ref_sub(p, pts[0]) for p in pts[1:]]
+    dim = _ref_rank(diffs)
+    if dim < d:
+        basis = []
+        for r in diffs:
+            if len(basis) == dim:
+                break
+            if _ref_rank(basis + [r]) > len(basis):
+                basis.append(r)
+        if dim <= 1:
+            return dim, []
+        local = [_ref_coordinates(_ref_sub(p, pts[0]), basis) for p in pts]
+        return dim, reference_hull(local, dim)[1]
+    found = {}
+    for combo in combinations(range(len(pts)), d):
+        rows = [_ref_sub(pts[i], pts[combo[0]]) for i in combo[1:]]
+        if _ref_rank(rows) != d - 1:
+            continue
+        n = _ref_primitive(_ref_normal(rows, d))
+        values = [_ref_dot(n, p) for p in pts]
+        c = _ref_dot(n, pts[combo[0]])
+        if max(values) != c:
+            if min(values) != c:
+                continue
+            n, c, values = tuple(-x for x in n), -c, [-v for v in values]
+        found[(n, c)] = frozenset(i for i, v in enumerate(values) if v == c)
+    return d, sorted((n, c, inc) for (n, c), inc in found.items())
+
+
+@st.composite
+def rational_point_sets(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(d + 1, d + 4))
+    dens = [draw(st.sampled_from([1, 2, 3, 5, 6])) for _ in range(d)]
+    coord = st.integers(-4, 4)
+    span = draw(st.integers(0, d))  # d: generic; below d: affinely degenerate
+    if span == d:
+        pts = [
+            tuple(F(draw(coord), dens[i] * draw(st.sampled_from([1, 2]))) for i in range(d))
+            for _ in range(n)
+        ]
+    else:
+        base = tuple(F(draw(coord), dens[i]) for i in range(d))
+        dirs = [tuple(F(draw(st.integers(-2, 2)), dens[i]) for i in range(d)) for _ in range(span)]
+        pts = []
+        for _ in range(n):
+            w = [draw(st.integers(-3, 3)) for _ in dirs]
+            pts.append(tuple(base[i] + sum(c * v[i] for c, v in zip(w, dirs)) for i in range(d)))
+    return d, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_point_sets())
+def test_convex_hull_matches_reference(case):
+    d, pts = case
+    hull = convex_hull(pts, d)
+    dim, facets = reference_hull(pts, d)
+    assert hull.dim == dim
+    assert [(f.normal, f.offset, f.incident) for f in hull.facets] == facets

@@ -141,14 +141,37 @@ def test_solve_affine_solves(rows):
             assert all(x == 0 for x in mat_vec(m, k))
 
 
-@settings(max_examples=60)
-@given(
-    st.lists(
-        st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=2, max_size=4
+@st.composite
+def rational_matrices(draw):
+    """Up to 6 x 6 rational matrices with zero rows and dependent rows, the
+    shapes Gale columns take."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12)
     )
-)
-def test_rank_bounds_and_kernel_complement(rows):
-    m = mat(rows)
+    gens = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6)
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["zero", "generator", "combination"]))
+        if kind == "zero":
+            rows.append([F(0)] * ncols)
+        elif kind == "generator":
+            rows.append(draw(st.sampled_from(gens)))
+        else:
+            coeffs = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in gens]
+            rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)), F(0)) for j in range(ncols)])
+    return mat(rows)
+
+
+@settings(max_examples=200)
+@given(rational_matrices())
+def test_rank_bounds_and_kernel_complement(m):
+    # kernel_basis stays on _row_reduce, so this checks the fraction-free rank
+    # against an independent elimination
+    ncols = len(m[0])
     r = rank(m)
-    assert 0 <= r <= min(len(rows), 4)
-    assert r + len(kernel_basis(m)) == 4
+    assert 0 <= r <= min(len(m), ncols)
+    assert r + len(kernel_basis(m)) == ncols
+    assert rank(transpose(m)) == r
