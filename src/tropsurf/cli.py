@@ -13,12 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .catalogs import catalogs
-from .engine import (
-    SingularityReport,
-    classify,
-    oracle_singular_points,
-    singular_family,
-)
+from .engine import SingularityReport, _chain_scan, classify
 from .jsonio import dumps, load_input_file
 from .matroid import (
     ENUMERATION_BOUND,
@@ -137,8 +132,9 @@ def _flag_doc(flag) -> list[list[str]]:
 def _cmd_flags(args: argparse.Namespace) -> int:
     cfg, heights = load_input_file(args.input)
     _check_enumeration_bound(cfg)
+    b = gale_dual(cfg)
     accepted = []
-    for flag, case in enumerate_flags_of_flats(cfg):
+    for flag, case in enumerate_flags_of_flats(cfg, b):
         accepted.append(
             {
                 "levels": _flag_doc(flag),
@@ -149,7 +145,6 @@ def _cmd_flags(args: argparse.Namespace) -> int:
     doc: dict = {"accepted_flags": accepted}
     if heights is not None:
         flag = flag_of_subsets(heights)
-        b = gale_dual(cfg)
         entry: dict = {
             "levels": _flag_doc(flag),
             "maximal": len(flag) == cfg.size - 4,
@@ -159,7 +154,7 @@ def _cmd_flags(args: argparse.Namespace) -> int:
         if bad is not None:
             entry["first_non_flat_level"] = bad + 1
         elif entry["maximal"]:
-            case = chains_case(cfg, flag)
+            case = chains_case(cfg, flag, b)
             if isinstance(case, ChainsCase):
                 entry["case"] = case.case
             else:
@@ -249,8 +244,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg, heights = load_input_file(args.input)
     u = _require_heights(heights)
     _check_enumeration_bound(cfg)
-    points = oracle_singular_points(cfg, u)
-    family = singular_family(cfg, u)
+    points, family = _chain_scan(cfg, u)
     doc = {
         "points": [list(p) for p in points],
         "families": [

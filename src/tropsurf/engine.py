@@ -94,7 +94,11 @@ class LiftReject:
 
 
 def lift_check(cfg: PointConfig, u: Sequence, p: Sequence, b: Matrix | None = None) -> Certificate | LiftReject:
-    """Decide singularity of p by the flats criterion on its height flag."""
+    """Decide singularity of p by the flats criterion on its height flag.
+
+    ``b`` is the caller's `gale_dual` of ``cfg``; passing it shares its
+    memoised closures across the lift checks of one command.
+    """
     dual = b if b is not None else gale_dual(cfg)
     if has_zero_column(dual) is not None:
         return LiftReject(reason="a point of the configuration lies in no affine relation")
@@ -105,7 +109,7 @@ def lift_check(cfg: PointConfig, u: Sequence, p: Sequence, b: Matrix | None = No
         return LiftReject(reason=f"flag level {bad + 1} is not a flat")
     maximal = len(flag) == cfg.size - 4
     if maximal:
-        case = chains_case(cfg, flag)
+        case = chains_case(cfg, flag, dual)
         if isinstance(case, ChainsReject):
             return Certificate(
                 shifted=shifted,
@@ -115,7 +119,7 @@ def lift_check(cfg: PointConfig, u: Sequence, p: Sequence, b: Matrix | None = No
                 discrepancy=f"flats accept but shape classifier rejects: {case.clause}",
             )
         return Certificate(shifted=shifted, flag=flag, maximal=True, case=case.case)
-    refined = refine_to_accepted(cfg, flag)
+    refined = refine_to_accepted(cfg, flag, dual)
     if refined is None:
         return Certificate(
             shifted=shifted,
@@ -863,26 +867,7 @@ def oracle_singular_points(cfg: PointConfig, u: Sequence) -> tuple[Vector, ...]:
     set; zero-dimensional solutions are kept when the flag of the shifted
     heights passes the flats criterion.  Independent of `candidate_points`.
     """
-    heights = cfg.heights_from(u)
-    b = gale_dual(cfg)
-    if has_zero_column(b) is not None:
-        return ()
-    out: set[Vector] = set()
-    for chain in maximal_flat_chains(b):
-        pairs: list[tuple[int, int]] = []
-        for d in difference_sets(chain):
-            pairs.extend(_chain_pairs(d))
-        if not pairs:
-            continue
-        m, rhs = _equalities(cfg, heights, pairs)
-        sol = solve_affine(m, rhs)
-        if isinstance(sol, Infeasible) or not sol.unique:
-            continue
-        p = sol.particular
-        shifted = shifted_heights(cfg, heights, p)
-        if all_levels_flats(b, flag_of_subsets(shifted)) is None:
-            out.add(p)
-    return tuple(sorted(out))
+    return _chain_scan(cfg, u)[0]
 
 
 @dataclass(frozen=True)
@@ -925,17 +910,28 @@ def _piece_contains(piece: FamilyPiece, p: Vector) -> bool:
 
 def singular_family(cfg: PointConfig, u: Sequence) -> tuple[FamilyPiece, ...]:
     """Pieces of the singular locus from chain systems with ordering constraints."""
+    return _chain_scan(cfg, u)[1]
+
+
+def _chain_scan(
+    cfg: PointConfig, u: Sequence
+) -> tuple[tuple[Vector, ...], tuple[FamilyPiece, ...]]:
+    """`oracle_singular_points` and `singular_family` from one pass over the
+    maximal chains of flats, solving each chain's equal-height system once.
+    """
     heights = cfg.heights_from(u)
     b = gale_dual(cfg)
     if has_zero_column(b) is not None:
-        return ()
+        return (), ()
+    points: set[Vector] = set()
     pieces: dict[tuple, FamilyPiece] = {}
     for chain in maximal_flat_chains(b):
         diffs = difference_sets(chain)
         pairs: list[tuple[int, int]] = []
         for d in diffs:
             pairs.extend(_chain_pairs(d))
-        assert pairs, "a maximal chain always merges at least two heights"
+        if not pairs:
+            continue
         m, rhs = _equalities(cfg, heights, pairs)
         sol = solve_affine(m, rhs)
         if isinstance(sol, Infeasible):
@@ -944,6 +940,7 @@ def singular_family(cfg: PointConfig, u: Sequence) -> tuple[FamilyPiece, ...]:
             p = sol.particular
             shifted = shifted_heights(cfg, heights, p)
             if all_levels_flats(b, flag_of_subsets(shifted)) is None:
+                points.add(p)
                 pieces.setdefault(("point", p), FamilyPiece(dim=0, base=p))
             continue
         if len(sol.kernel) != 1:
@@ -993,7 +990,7 @@ def singular_family(cfg: PointConfig, u: Sequence) -> tuple[FamilyPiece, ...]:
     for p in pieces.values():
         if p.dim == 0 and not any(_piece_contains(q, p.base) for q in kept):
             kept.append(p)
-    return tuple(sorted(kept, key=repr))
+    return tuple(sorted(points)), tuple(sorted(kept, key=repr))
 
 
 def _chain_order_interval(

@@ -6,6 +6,15 @@ the span of the columns b_j, j in F, contains no other column.  A height
 vector induces an ascending *flag of subsets* (lowest heights first); the
 classifier below sorts maximal flags into four shapes keyed by the size of
 the top difference set and the circuit type it carries.
+
+`gale_dual` returns a `GaleDual`: the rows of B together with a closure
+oracle for the matroid of its columns.  ``closure(S)`` is one fraction-free
+elimination of S's integer columns followed by one span-membership
+reduction per other column, memoised for the life of the object.  Every
+flats question of one command goes through the one object that the command
+made: flats are closures, the lattice of flats is generated from cl(empty
+set) by the covers cl(F + e), and maximal chains walk those covers (the
+flags of flats of the Bergman fan; Ardila-Klivans 2006).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .lattice import CircuitType, NotACircuit, affine_dim, classify_circuit
 from .linalg import (
     Matrix,
     Vector,
+    _integer_row,
     kernel_basis,
     mat,
     primitive,
@@ -33,17 +43,94 @@ Flag = tuple[tuple[int, ...], ...]
 ENUMERATION_BOUND = 10
 
 
-def gale_dual(cfg: PointConfig) -> Matrix:
+class GaleDual(tuple):
+    """A Gale matrix (a tuple of rational rows) with a closure oracle.
+
+    A ``GaleDual`` is a `Matrix` and goes wherever one is expected.  Its
+    oracle works on the columns of B with each row multiplied by the lcm of
+    its denominators, which keeps every linear relation among the columns,
+    so the columns are integer vectors.  Closures and covers are memoised
+    by sorted index tuple for the life of the object, never across objects.
+    """
+
+    def __init__(self, rows: Iterable[Vector]) -> None:
+        self.size = len(self[0]) if self else 0
+        self._columns = tuple(zip(*(_integer_row(r) for r in self)))
+        self._closures: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._covers: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self.rank = len(_span_basis(self._columns))
+
+    def closure(self, subset: Iterable[int]) -> tuple[int, ...]:
+        """Sorted indices of the columns in the span of the columns in ``subset``."""
+        key = tuple(sorted(set(subset)))
+        found = self._closures.get(key)
+        if found is None:
+            basis = _span_basis(self._columns[j] for j in key)
+            inside = set(key)
+            found = tuple(
+                j
+                for j in range(self.size)
+                if j in inside or not any(_reduce(basis, self._columns[j]))
+            )
+            self._closures[key] = found
+        return found
+
+    def is_flat(self, subset: Iterable[int]) -> bool:
+        key = tuple(sorted(set(subset)))
+        return self.closure(key) == key
+
+    def covers(self, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The flats covering ``flat``: the distinct closures cl(flat + e)."""
+        found = self._covers.get(flat)
+        if found is None:
+            seen = set(flat)
+            out = []
+            for e in range(self.size):
+                if e not in seen:
+                    cover = self.closure(flat + (e,))
+                    seen.update(cover)  # cl(flat + e') is this cover for every e' in it
+                    out.append(cover)
+            found = self._covers[flat] = tuple(out)
+        return found
+
+
+def gale_dual(cfg: PointConfig) -> GaleDual:
     """Rows spanning the kernel of the configuration matrix."""
     a = cfg.matrix_a
     assert rank(a) == 4, "configuration matrix must have full rank"
     rows = kernel_basis(a)
     assert len(rows) == cfg.size - 4
-    return mat(rows)
+    return GaleDual(mat(rows))
 
 
-def gale_column(b: Matrix, j: int) -> Vector:
-    return tuple(row[j] for row in b)
+def _reduce(basis: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> Sequence[int]:
+    """``v`` after Bareiss elimination by the pivot rows of ``basis``.
+
+    Each pivot ``(c, e)`` replaces ``v`` by ``(p * v - v[c] * e) // prev``
+    with ``p = e[c]`` and ``prev`` the previous pivot, as in `linalg.rank`;
+    the division is exact.  The result is zero iff ``v`` lies in the span.
+    """
+    prev = 1
+    for c, e in basis:
+        p, x = e[c], v[c]
+        v = [(p * a - x * y) // prev for a, y in zip(v, e)]
+        prev = p
+    return v
+
+
+def _span_basis(columns: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+    """Pivot rows ``(pivot column, reduced vector)`` of the span of ``columns``."""
+    basis: list[tuple[int, Sequence[int]]] = []
+    for col in columns:
+        v = _reduce(basis, col)
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is not None:
+            basis.append((c, v))
+    return basis
+
+
+def _oracle(b: Matrix) -> GaleDual:
+    return b if isinstance(b, GaleDual) else GaleDual(b)
 
 
 def has_zero_column(b: Matrix) -> int | None:
@@ -56,15 +143,7 @@ def has_zero_column(b: Matrix) -> int | None:
 
 def is_flat(b: Matrix, subset: Iterable[int]) -> bool:
     """Whether the span of the Gale columns in ``subset`` contains no other column."""
-    f = set(subset)
-    cols = [gale_column(b, j) for j in sorted(f)]
-    base = rank(mat(cols)) if cols else 0
-    for k in range(len(b[0])):
-        if k in f:
-            continue
-        if rank(mat(cols + [gale_column(b, k)])) == base:
-            return False
-    return True
+    return _oracle(b).is_flat(subset)
 
 
 def flag_of_subsets(u: Sequence) -> Flag:
@@ -94,8 +173,9 @@ def difference_sets(flag: Flag) -> tuple[tuple[int, ...], ...]:
 
 def all_levels_flats(b: Matrix, flag: Flag) -> int | None:
     """Index of the first flag level that is not a flat, or None if all are."""
+    oracle = _oracle(b)
     for l, level in enumerate(flag):
-        if not is_flat(b, level):
+        if not oracle.is_flat(level):
             return l
     return None
 
@@ -147,19 +227,19 @@ def _on_line(points: Sequence[tuple], point: tuple) -> bool:
     return affine_dim(list(points) + [point]) <= 1
 
 
-def chains_case(cfg: PointConfig, flag: Flag) -> ChainsCase | ChainsReject:
+def chains_case(cfg: PointConfig, flag: Flag, b: Matrix | None = None) -> ChainsCase | ChainsReject:
     """Classify a maximal flag into one of the four singular-flag shapes.
 
     Checks, in order: every level a flat, the top difference set a circuit of
     the right type, the lower difference-set pattern, and the geometric side
     conditions of the matched shape.  The first violated clause is reported.
+    ``b`` is the Gale dual of ``cfg`` when the caller has it.
     """
     s = cfg.size
     if len(flag) != s - 4:
         raise ValueError(f"flag has {len(flag)} levels; a maximal flag has {s - 4}")
     _validate_flag(flag, s)
-    b = gale_dual(cfg)
-    bad = all_levels_flats(b, flag)
+    bad = all_levels_flats(b if b is not None else gale_dual(cfg), flag)
     if bad is not None:
         return ChainsReject(clause=f"level {bad + 1} is not a flat")
     diffs = difference_sets(flag)
@@ -258,62 +338,78 @@ def chains_case(cfg: PointConfig, flag: Flag) -> ChainsCase | ChainsReject:
 
 
 def _validate_flag(flag: Flag, size: int) -> None:
-    assert flag, "flag must be nonempty"
-    assert flag[-1] == tuple(range(size)), "top flag level must be the full index set"
+    if not flag:
+        raise ValueError("flag must be nonempty")
+    if flag[-1] != tuple(range(size)):
+        raise ValueError("top flag level must be the full index set")
     for prev, cur in zip(flag, flag[1:]):
-        assert set(prev) < set(cur), "flag levels must be strictly nested"
+        if not set(prev) < set(cur):
+            raise ValueError("flag levels must be strictly nested")
     for level in flag:
-        assert level == tuple(sorted(set(level))), "flag levels must be sorted tuples"
+        if level != tuple(sorted(set(level))):
+            raise ValueError("flag levels must be sorted tuples")
 
 
 def all_flats(b: Matrix) -> tuple[tuple[int, ...], ...]:
-    """All nonempty flats, smallest first (then lexicographic)."""
-    s = len(b[0])
-    assert s <= ENUMERATION_BOUND, f"flat enumeration is bounded to {ENUMERATION_BOUND} points"
-    out = []
-    for r in range(1, s + 1):
-        for subset in combinations(range(s), r):
-            if is_flat(b, subset):
-                out.append(subset)
-    return tuple(out)
+    """All nonempty flats, smallest first (then lexicographic).
+
+    Every flat is reached from cl(empty set) by a chain of covers, so a
+    breadth-first walk over covers finds each flat without testing subsets.
+    """
+    oracle = _oracle(b)
+    if oracle.size > ENUMERATION_BOUND:
+        raise ValueError(f"flat enumeration is bounded to {ENUMERATION_BOUND} points")
+    layer = {oracle.closure(())}
+    found = set(layer)
+    while layer:
+        layer = {c for f in layer for c in oracle.covers(f)} - found
+        found |= layer
+    return tuple(sorted((f for f in found if f), key=lambda f: (len(f), f)))
 
 
 def maximal_flat_chains(b: Matrix) -> tuple[Flag, ...]:
-    """All chains of nonempty flats of length s - 4 ending at the full set."""
-    s = len(b[0])
-    target = s - 4
-    full = tuple(range(s))
-    flats = all_flats(b)
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for f in flats:
-        by_size.setdefault(len(f), []).append(f)
+    """All chains of nonempty flats of length s - 4 ending at the full set.
 
+    Ranks rise strictly along a chain of flats, and the flats of rank
+    rank(F) + d above F are those d covers up from F; a chain may skip
+    ranks only as far as the ranks left above it allow.
+    """
+    oracle = _oracle(b)
+    all_flats(oracle)  # enforces the enumeration bound
+    target = oracle.size - 4
+    full = tuple(range(oracle.size))
     chains: list[Flag] = []
 
-    def extend(chain: list[tuple[int, ...]]) -> None:
-        if len(chain) == target:
-            if chain[-1] == full:
+    def extend(chain: list[tuple[int, ...]], flat: tuple[int, ...], flat_rank: int) -> None:
+        left = target - len(chain)
+        if left == 0:
+            if flat == full:
                 chains.append(tuple(chain))
             return
-        cur = set(chain[-1]) if chain else set()
-        remaining = target - len(chain)
-        for size in range(len(cur) + 1, s - remaining + 2):
-            for f in by_size.get(size, ()):
-                if cur < set(f) or (not chain and cur <= set(f)):
-                    chain.append(f)
-                    extend(chain)
-                    chain.pop()
+        above = {flat}
+        for d in range(1, oracle.rank - flat_rank - left + 2):
+            above = {c for f in above for c in oracle.covers(f)}
+            for nxt in above:
+                chain.append(nxt)
+                extend(chain, nxt, flat_rank + d)
+                chain.pop()
 
-    extend([])
+    if target >= 1:
+        bottom = oracle.closure(())
+        if bottom:
+            extend([bottom], bottom, 0)
+        extend([], bottom, 0)
     return tuple(sorted(chains))
 
 
-def enumerate_flags_of_flats(cfg: PointConfig) -> tuple[tuple[Flag, ChainsCase], ...]:
+def enumerate_flags_of_flats(
+    cfg: PointConfig, b: Matrix | None = None
+) -> tuple[tuple[Flag, ChainsCase], ...]:
     """All maximal flags of flats accepted by the four-case classifier."""
-    b = gale_dual(cfg)
+    b = b if b is not None else gale_dual(cfg)
     out = []
     for chain in maximal_flat_chains(b):
-        case = chains_case(cfg, chain)
+        case = chains_case(cfg, chain, b)
         if isinstance(case, ChainsCase):
             out.append((chain, case))
     return tuple(out)
@@ -346,28 +442,42 @@ def is_defective(cfg: PointConfig, flag: Flag) -> tuple[bool, Vector | None]:
     raise AssertionError("rank deficit without a non-constant intersection witness")
 
 
-def _ordered_partitions(block: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ordered partitions of a set into nonempty blocks (order of blocks matters)."""
+def _flat_runs(
+    oracle: GaleDual, below: tuple[int, ...], block: tuple[int, ...], room: int
+) -> Iterator[list[tuple[int, ...]]]:
+    """Splittings of ``block`` into at most ``room`` ordered sub-blocks whose
+    cumulative unions with ``below`` are all flats, as the list of those unions.
+
+    Blocks are taken in the order of the plain ordered-partition enumeration
+    (first block by size, then lexicographically), and a first block whose
+    union is not a flat cuts off every partition that starts with it.
+    """
     if not block:
-        yield ()
+        yield []
+        return
+    if room == 0:
         return
     for r in range(1, len(block) + 1):
         for first in combinations(block, r):
-            remaining = tuple(i for i in block if i not in first)
-            for tail in _ordered_partitions(remaining):
-                yield (first,) + tail
+            level = tuple(sorted(below + first))
+            if not oracle.is_flat(level):
+                continue
+            rest = tuple(i for i in block if i not in first)
+            for tail in _flat_runs(oracle, level, rest, room - 1):
+                yield [level] + tail
 
 
-def refine_to_accepted(cfg: PointConfig, flag: Flag) -> tuple[Flag, ChainsCase] | None:
+def refine_to_accepted(
+    cfg: PointConfig, flag: Flag, b: Matrix | None = None
+) -> tuple[Flag, ChainsCase] | None:
     """A maximal refinement of a flag of flats accepted by the classifier.
 
     Refinement splits each difference set into an ordered run of sub-levels
     (all cumulative sets must be flats).  Returns the first accepted maximal
     refinement, or None.
     """
-    s = cfg.size
-    target = s - 4
-    b = gale_dual(cfg)
+    target = cfg.size - 4
+    oracle = _oracle(b if b is not None else gale_dual(cfg))
     diffs = difference_sets(flag)
 
     def search(level_idx: int, built: list[tuple[int, ...]]) -> tuple[Flag, ChainsCase] | None:
@@ -375,26 +485,14 @@ def refine_to_accepted(cfg: PointConfig, flag: Flag) -> tuple[Flag, ChainsCase] 
             if len(built) != target:
                 return None
             candidate = tuple(built)
-            case = chains_case(cfg, candidate)
+            case = chains_case(cfg, candidate, oracle)
             if isinstance(case, ChainsCase):
                 return candidate, case
             return None
         if len(built) >= target:
             return None
-        prev = set(built[-1]) if built else set()
-        for blocks in _ordered_partitions(diffs[level_idx]):
-            cum = set(prev)
-            levels = []
-            ok = True
-            for blk in blocks:
-                cum |= set(blk)
-                level = tuple(sorted(cum))
-                if not is_flat(b, level):
-                    ok = False
-                    break
-                levels.append(level)
-            if not ok:
-                continue
+        below = built[-1] if built else ()
+        for levels in _flat_runs(oracle, below, diffs[level_idx], target - len(built)):
             found = search(level_idx + 1, built + levels)
             if found is not None:
                 return found

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -238,3 +239,29 @@ def test_flags_enumeration_bound_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "flags", str(path))
     assert code == 2
     assert "at most 10 points" in err
+
+
+# Exit code and sha256 of stdout for the enumeration commands and the
+# certificate output on the sample inputs, recorded before the closure
+# oracle replaced subset enumeration in the matroid layer: refactors of
+# that layer must leave these bytes unchanged.
+GOLDEN = [
+    ("codim2_family", ("flags",), 0, "f05895c928521663258741379b83262248102fab2189b2b580d810515cb206f5"),
+    ("codim2_family", ("oracle",), 0, "e9edc3d5d699769504e105c539b245caa7bf7a6f935e00083c562e0fd6999d4e"),
+    ("codim2_family", ("singular", "--certificate"), 1, "37197e346a9b060bfe182c5300634646db7326201a3ba953a50832cfef117f87"),
+    ("ex_thomas", ("flags",), 0, "05e04c781ceafac56e7782a23ca384678a494b0b0b9ddba677ff545d6c6b2f16"),
+    ("ex_thomas", ("oracle",), 0, "926738df1397e0576a0b51a2086e73b870870f345557fa00af2050b4ba8d7046"),
+    ("ex_thomas", ("singular", "--certificate"), 0, "940db9459142423f42395e66767d74f4286df291abbdb67082b915a48a82fe23"),
+    ("worked_example", ("flags",), 0, "cfd5b2a6010de3cefb92de4f7f0aaf5b299bd336e64843e03ae87662a0904047"),
+    ("worked_example", ("oracle",), 0, "8b41e76495bf41949f5d0f503493bfd5454d45c9ddd3bebb6033d08e0c2abbe7"),
+    ("worked_example", ("singular", "--certificate"), 0, "80182b4c2e56bfabf791cb3f0ffc8898aed04c926e1c72a36af66b6b0bcff167"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, code, digest", GOLDEN, ids=[f"{g[0]}-{g[1][0]}" for g in GOLDEN]
+)
+def test_golden_stdout(capsys, name, command, code, digest):
+    got, out, _ = run(capsys, command[0], str(DATA / f"{name}.json"), *command[1:])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +21,16 @@ from tests.frozen import (
     U_DEFECTIVE8,
     U_EX_THOMAS,
     WORKED,
+    WORKED_SWEEP,
+    worked_heights,
 )
 from tropsurf.lattice import CircuitType
-from tropsurf.linalg import mat_mul, transpose, vec_scale
+from tropsurf.linalg import mat, mat_mul, transpose, vec_scale
 from tropsurf.matroid import (
     ChainsCase,
     ChainsReject,
+    GaleDual,
+    all_flats,
     chains_case,
     difference_sets,
     enumerate_flags_of_flats,
@@ -200,3 +209,223 @@ def test_flag_structure_invariants(heights):
     for level in flag:
         cutoff = max(heights[i] for i in level)
         assert set(level) == {i for i, h in enumerate(heights) if h <= cutoff}
+
+
+def test_bounds_hold_under_python_O():
+    """The enumeration bound and the flag checks raise, not assert, so ``-O`` keeps them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = """
+from tropsurf.matroid import all_flats, chains_case
+from tropsurf.subdivision import PointConfig
+try:
+    all_flats(((1,) * 11,))
+except ValueError:
+    print("bound")
+cfg = PointConfig(points=((0, 0, 0), (0, 0, 1), (0, 0, 2), (-1, -1, 0), (0, 1, 0), (1, 0, 0), (2, 1, 1)))
+try:
+    chains_case(cfg, ((3,), (3,), tuple(range(7))))
+except ValueError:
+    print("flag")
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["bound", "flag"]
+
+
+# ---------------------------------------------------------------------------
+# reference matroid: plain Fraction elimination, no tropsurf code
+
+
+def _ref_rank(vectors) -> int:
+    rows = [list(v) for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+class _RefMatroid:
+    """F is a flat iff no column outside F lies in the span of F's columns."""
+
+    def __init__(self, b) -> None:
+        self.cols = list(zip(*b))
+        self.size = len(self.cols)
+        self._flat: dict[tuple[int, ...], bool] = {}
+
+    def in_span(self, subset, k) -> bool:
+        cols = [self.cols[j] for j in subset]
+        return _ref_rank(cols + [self.cols[k]]) == _ref_rank(cols)
+
+    def closure(self, subset) -> tuple[int, ...]:
+        return tuple(k for k in range(self.size) if k in subset or self.in_span(subset, k))
+
+    def is_flat(self, subset) -> bool:
+        key = tuple(sorted(subset))
+        if key not in self._flat:
+            self._flat[key] = not any(
+                self.in_span(key, k) for k in range(self.size) if k not in key
+            )
+        return self._flat[key]
+
+    def flats(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            c
+            for r in range(1, self.size + 1)
+            for c in combinations(range(self.size), r)
+            if self.is_flat(c)
+        )
+
+    def chains(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        target = self.size - 4
+        full = tuple(range(self.size))
+        flats = self.flats()
+        out = []
+
+        def extend(chain):
+            if len(chain) == target:
+                if chain[-1] == full:
+                    out.append(tuple(chain))
+                return
+            for f in flats:
+                if not chain or set(chain[-1]) < set(f):
+                    extend(chain + [f])
+
+        extend([])
+        return tuple(sorted(out))
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _gale_like_matrices(draw):
+    """Rational matrices of up to 4 rows and 8 columns with loops and parallel columns."""
+    rows = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 8))
+    cols: list[list[Fraction]] = []
+    for _ in range(size):
+        kind = draw(st.sampled_from(["free", "free", "zero", "parallel", "sum"]))
+        if kind == "zero":
+            cols.append([Fraction(0)] * rows)
+        elif kind == "parallel" and cols:
+            c = draw(st.sampled_from(cols))
+            k = draw(_rationals.filter(lambda x: x != 0))
+            cols.append([k * x for x in c])
+        elif kind == "sum" and len(cols) >= 2:
+            c1, c2 = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            cols.append([x + y for x, y in zip(c1, c2)])
+        else:
+            cols.append([draw(_rationals) for _ in range(rows)])
+    return mat(zip(*cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gale_like_matrices())
+def test_closure_oracle_matches_reference(b):
+    ref = _RefMatroid(b)
+    oracle = GaleDual(b)
+    s = len(b[0])
+    for r in range(s + 1):
+        for subset in combinations(range(s), r):
+            assert oracle.closure(subset) == ref.closure(subset)
+            assert is_flat(oracle, subset) == ref.is_flat(subset)
+    assert all_flats(b) == ref.flats()
+    if s >= 5:
+        assert maximal_flat_chains(b) == ref.chains()
+
+
+# ---------------------------------------------------------------------------
+# refine_to_accepted keeps the order of the full ordered-partition search
+
+
+def _ref_ordered_partitions(block):
+    if not block:
+        yield ()
+        return
+    for r in range(1, len(block) + 1):
+        for first in combinations(block, r):
+            remaining = tuple(i for i in block if i not in first)
+            for tail in _ref_ordered_partitions(remaining):
+                yield (first,) + tail
+
+
+def _ref_refine(cfg, flag):
+    """Every ordered partition of every difference set, in turn; first accepted wins."""
+    ref = _RefMatroid(gale_dual(cfg))
+    target = cfg.size - 4
+    diffs = difference_sets(flag)
+
+    def search(level_idx, built):
+        if level_idx == len(diffs):
+            if len(built) != target:
+                return None
+            case = chains_case(cfg, tuple(built))
+            return (tuple(built), case) if isinstance(case, ChainsCase) else None
+        if len(built) >= target:
+            return None
+        prev = set(built[-1]) if built else set()
+        for blocks in _ref_ordered_partitions(diffs[level_idx]):
+            cum = set(prev)
+            levels = []
+            for blk in blocks:
+                cum |= set(blk)
+                levels.append(tuple(sorted(cum)))
+            if not all(ref.is_flat(level) for level in levels):
+                continue
+            found = search(level_idx + 1, built + levels)
+            if found is not None:
+                return found
+        return None
+
+    return search(0, [])
+
+
+def _shifted_flag(cfg, u, p):
+    return flag_of_subsets(
+        [F(h) + sum(F(m) * x for m, x in zip(pt, p)) for pt, h in zip(cfg.points, u)]
+    )
+
+
+def _coarsenings(flag):
+    """The flag and every flag obtained by dropping lower levels from it."""
+    lower = flag[:-1]
+    for r in range(len(lower) + 1):
+        for keep in combinations(lower, r):
+            yield keep + (flag[-1],)
+
+
+def _boundary_cases():
+    cases = []
+    for u_e, points in WORKED_SWEEP:
+        for p in points:
+            cases.append((WORKED, _shifted_flag(WORKED, worked_heights(u_e), p)))
+    cases.append((EX_THOMAS, flag_of_subsets(U_EX_THOMAS)))
+    cases.append((EX_THOMAS, _shifted_flag(EX_THOMAS, U_EX_THOMAS, (0, 0, 0))))
+    cases.append((DEFECTIVE8, flag_of_subsets(U_DEFECTIVE8)))
+    return [(cfg, coarse) for cfg, flag in cases for coarse in _coarsenings(flag)]
+
+
+def test_refine_order_matches_partition_search_on_boundary_flags():
+    for cfg, flag in _boundary_cases():
+        assert refine_to_accepted(cfg, flag) == _ref_refine(cfg, flag), (cfg, flag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([WORKED, EX_THOMAS]),
+    st.lists(st.integers(-2, 2), min_size=7, max_size=7),
+)
+def test_refine_order_matches_partition_search_on_random_heights(cfg, heights):
+    flag = flag_of_subsets(heights)
+    assert refine_to_accepted(cfg, flag) == _ref_refine(cfg, flag)
