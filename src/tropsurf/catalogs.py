@@ -28,12 +28,13 @@ from .lattice import (
     UnimodularMap,
     as_lattice_point,
     classify_circuit,
+    identity_map,
     CircuitType,
     interior_lattice_points,
     radon_partition,
     segment_lattice_count,
 )
-from .linalg import Fraction, mat, solve_affine, AffineSolution, determinant
+from .linalg import _gauss_jordan, determinant, mat
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +290,18 @@ def _integral_inverse_times(targets: Sequence[LatticePoint], sources: Sequence[L
     """Integer matrix M with M @ sources[i] = targets[i], or None.
 
     Both lists are difference vectors (same length d = their dimension);
-    M = T V^{-1} must be integral with |det| = 1.
+    M = T V^{-1} must be integral with |det| = 1.  |det M| = 1 exactly when
+    |det T| = |det V|, which is tested first.  M^T then solves
+    V^T X = T^T: one elimination of the rows [sources[k] | targets[k]].
     """
-    d = len(sources[0])
-    v_cols = mat([[Fraction(s[i]) for s in sources] for i in range(d)])
-    rows = []
-    for i in range(d):
-        target_row = [Fraction(t[i]) for t in targets]
-        sol = solve_affine(_transpose_mat(v_cols), target_row)
-        if not isinstance(sol, AffineSolution):
-            return None
-        if any(x.denominator != 1 for x in sol.particular):
-            return None
-        rows.append(tuple(int(x) for x in sol.particular))
-    m = tuple(rows)
-    if abs(determinant(mat(m))) != 1:
+    dv = determinant(mat(sources))
+    if dv == 0 or abs(dv) != abs(determinant(mat(targets))):
         return None
-    return m
-
-
-def _transpose_mat(m):
-    return tuple(zip(*m))
+    n = len(sources)
+    _, d, rows, _ = _gauss_jordan([[*s, *t] for s, t in zip(sources, targets)])
+    if any(x % d for row in rows for x in row[n:]):
+        return None
+    return tuple(tuple(rows[r][n + i] // d for r in range(n)) for i in range(n))
 
 
 def normalize(points: Sequence[Sequence[int]], target: str) -> NormalizedForm | NoMatch:
@@ -353,7 +345,7 @@ def _normalize_a1(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
         if apex[0] == 1 and apex[1] >= 1 and apex[2] >= 1 and gcd(apex[1], apex[2]) == 1:
             return NormalizedForm(
                 target="a1",
-                map=_identity(3),
+                map=identity_map(3),
                 points=_A1.instantiate(apex[1], apex[2]),
                 params={"p": apex[1], "q": apex[2]},
             )
@@ -402,7 +394,7 @@ def _normalize_a2(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
                 break
             return NormalizedForm(
                 target=entry.id,
-                map=_identity(3),
+                map=identity_map(3),
                 points=entry.vertices,
                 params={"volume": entry.volume},
             )
@@ -434,7 +426,7 @@ def _normalize_triangles(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
         for perm in permutations(pts):
             if perm == entry.vertices:
                 return NormalizedForm(
-                    target=entry.id, map=_identity(2), points=entry.vertices
+                    target=entry.id, map=identity_map(2), points=entry.vertices
                 )
     for entry in catalogs().triangles:
         t0 = entry.vertices[0]
@@ -451,13 +443,6 @@ def _normalize_triangles(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
                 points=entry.vertices,
             )
     return NoMatch("triangles", "not equivalent to any of T1..T5")
-
-
-def _identity(dim: int) -> UnimodularMap:
-    return UnimodularMap(
-        matrix=tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)),
-        shift=(0,) * dim,
-    )
 
 
 def _sub(a: Sequence[int], b: Sequence[int]) -> LatticePoint:

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .catalogs import NoMatch, normalize
-from .lattice import CircuitType, radon_partition
+from .lattice import CircuitType, LatticePoint, radon_partition
 from .linalg import (
     AffineSolution,
     Infeasible,
@@ -149,13 +149,12 @@ class FamilyCandidate:
     route: Route
 
 
-def _equalities(cfg: PointConfig, u: Vector, pairs: Sequence[tuple[int, int]]) -> tuple[Matrix, Vector]:
-    rows = []
-    rhs = []
-    for i, j in pairs:
-        rows.append(vec_sub(vec(cfg.points[i]), vec(cfg.points[j])))
-        rhs.append(u[j] - u[i])
-    return mat(rows), vec(rhs)
+def _equalities(
+    cfg: PointConfig, u: Vector, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[LatticePoint], list[Fraction]]:
+    """Integer rows ``p_i - p_j`` and right-hand sides ``u_j - u_i``."""
+    rows = [tuple(a - b for a, b in zip(cfg.points[i], cfg.points[j])) for i, j in pairs]
+    return rows, [u[j] - u[i] for i, j in pairs]
 
 
 def _chain_pairs(indices: Sequence[int]) -> list[tuple[int, int]]:

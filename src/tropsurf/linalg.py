@@ -3,18 +3,18 @@
 Everything downstream (hulls, regular subdivisions, dual complexes, matroid
 rank computations) is decided by small dense rational systems.  ``rank``
 scales each row by the lcm of its denominators and runs Bareiss's
-fraction-free elimination on plain integers, so no ``Fraction`` is built on
-the hottest path.  ``kernel_basis`` and ``solve_affine`` need a reduced row
-echelon form and an infeasibility witness; they use ``_row_reduce``,
-Gauss-Jordan elimination in ``Fraction``s with first-nonzero pivoting.  No
-floats anywhere.
+fraction-free elimination on plain integers.  ``kernel_basis``,
+``solve_affine`` and ``determinant`` share ``_gauss_jordan``, the same
+elimination carried on above each pivot: its integer rows over one common
+denominator are the reduced row echelon form, so a ``Fraction`` is built
+only for a returned vector.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -68,42 +68,6 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in v)
 
 
-def _row_reduce(m: Matrix) -> tuple[list[list[Fraction]], list[int], list[list[Fraction]]]:
-    """Reduced row echelon form with a left transform.
-
-    Returns ``(R, pivots, E)`` where ``R`` is the RREF of ``m``, ``pivots``
-    lists the pivot column of each leading row, and ``E`` (square) satisfies
-    ``E @ m == R`` — the transform is what lets callers hand back an exact
-    infeasibility witness.  Pivots are chosen as the first nonzero entry in
-    each column, scanning columns left to right.
-    """
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    e = [[Fraction(int(i == j)) for j in range(nrows)] for i in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        e[r], e[pivot] = e[pivot], e[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        e[r] = [x * inv for x in e[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                e[i] = [x - f * y for x, y in zip(e[i], e[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots, e
-
-
 def rank(m: Matrix) -> int:
     """Exact rank of a rational matrix, by fraction-free elimination.
 
@@ -138,27 +102,69 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (denom // x.denominator) for x in row]
 
 
+def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    The pivot of each column is its first nonzero entry at or below the next
+    leading row, swapped up.  Every other row, above the pivot as well as
+    below, becomes ``(p * row - row[c] * pivot_row) // prev`` as in `rank`:
+    each division is exact and every pivot entry ends equal to the last
+    pivot ``d``.  Returns ``(pivots, d, reduced, sign)``: the pivot column of
+    each leading row, ``d``, integer rows whose quotients by ``d`` are the
+    reduced row echelon form, and the sign of the row swaps, so that ``d``
+    is ``sign`` times the determinant of a nonsingular square input.
+    """
+    rows = list(rows)
+    pivots: list[int] = []
+    d = sign = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        rows = [
+            row if i == r else [(p * x - row[c] * y) // d for x, y in zip(row, top)]
+            for i, row in enumerate(rows)
+        ]
+        d = p
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots, d, rows, sign
+
+
+def _integer_kernel(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]:
+    """``d`` and ``d`` times the `kernel_basis` of the integer rows."""
+    pivots, d, reduced, _ = _gauss_jordan(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = d
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows), "kernel vector fails m @ v = 0"
+        basis.append(v)
+    return d, basis
+
+
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
     """Basis of the right kernel ``{v : m @ v = 0}``.
 
     Returns exactly ``ncols - rank(m)`` vectors, one per free column, in
-    ascending free-column order (deterministic).
+    ascending free-column order (deterministic): the free column's entry is
+    1 and the others are read off the reduced row echelon form.
     """
     if not m:
         return ()
-    rows, pivots, _ = _row_reduce(m)
-    ncols = len(m[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    for v in basis:
-        assert all(x == 0 for x in mat_vec(m, v)), "kernel vector fails m @ v = 0"
-    return tuple(basis)
+    d, basis = _integer_kernel([_integer_row(r) for r in m], len(m[0]))
+    return tuple(tuple(Fraction(x, d) for x in v) for v in basis)
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,8 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]) -> AffineSolution | Infeasibl
     Returns
     -------
     AffineSolution
-        A particular solution together with a kernel basis, when consistent.
+        A particular solution, with every free variable 0, together with a
+        kernel basis, when consistent.
     Infeasible
         Otherwise, carrying a row-combination witness ``y`` with
         ``y @ m = 0`` and ``y . b != 0``.
@@ -204,41 +211,33 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]) -> AffineSolution | Infeasibl
     assert len(m) == len(b), "solve_affine: shape mismatch"
     if not m:
         return AffineSolution(particular=(), kernel=())
-    rows, pivots, e = _row_reduce(m)
-    eb = [dot(row, b) for row in e]
-    for r in range(len(pivots), len(m)):
-        if eb[r] != 0:
-            y = tuple(e[r])
-            assert all(x == 0 for x in mat_vec(transpose(m), y)), "witness fails y @ m = 0"
-            return Infeasible(witness=y)
-    ncols = len(m[0])
-    x = [Fraction(0)] * ncols
+    n = len(m[0])
+    rows = [_integer_row((*r, v)) for r, v in zip(m, b)]
+    pivots, d, reduced, _ = _gauss_jordan(rows)
+    if pivots and pivots[-1] == n:
+        # b is outside the column span, so some left kernel vector of the
+        # scaled rows meets it; undoing each row's scale keeps y @ m = 0
+        _, left = _integer_kernel(list(zip(*rows))[:n], len(rows))
+        y = next(y for y in left if sum(a * row[n] for a, row in zip(y, rows)) != 0)
+        scales = (lcm(*(x.denominator for x in (*r, v))) for r, v in zip(m, b))
+        return Infeasible(witness=tuple(Fraction(a * s) for a, s in zip(y, scales)))
+    x = [0] * n
     for r, c in enumerate(pivots):
-        x[c] = eb[r]
-    assert mat_vec(m, tuple(x)) == tuple(Fraction(v) for v in b), "particular solution check"
-    return AffineSolution(particular=tuple(x), kernel=kernel_basis(m))
+        x[c] = reduced[r][n]
+    assert all(
+        sum(a * xi for a, xi in zip(row, x)) == d * row[n] for row in rows
+    ), "particular solution check"
+    return AffineSolution(particular=tuple(Fraction(v, d) for v in x), kernel=kernel_basis(m))
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
+    """Exact determinant: the last fraction-free pivot over the row scales."""
     n = len(m)
     assert all(len(r) == n for r in m), "determinant: matrix not square"
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+    pivots, d, _, sign = _gauss_jordan([_integer_row(r) for r in m])
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * d, prod(lcm(*(x.denominator for x in r)) for r in m))
 
 
 def det2(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

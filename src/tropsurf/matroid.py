@@ -53,9 +53,14 @@ class GaleDual(tuple):
     by sorted index tuple for the life of the object, never across objects.
     """
 
-    def __init__(self, rows: Iterable[Vector]) -> None:
-        self.size = len(self[0]) if self else 0
-        self._columns = tuple(zip(*(_integer_row(r) for r in self)))
+    def __new__(cls, rows: Iterable[Vector], size: int = 0) -> "GaleDual":
+        return super().__new__(cls, rows)
+
+    def __init__(self, rows: Iterable[Vector], size: int = 0) -> None:
+        # ``size`` counts the columns when there are no rows: with s = 4
+        # points there are s zero columns (loops)
+        self.size = len(self[0]) if self else size
+        self._columns = tuple(zip(*(_integer_row(r) for r in self))) or ((),) * self.size
         self._closures: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._covers: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self.rank = len(_span_basis(self._columns))
@@ -100,7 +105,7 @@ def gale_dual(cfg: PointConfig) -> GaleDual:
     assert rank(a) == 4, "configuration matrix must have full rank"
     rows = kernel_basis(a)
     assert len(rows) == cfg.size - 4
-    return GaleDual(mat(rows))
+    return GaleDual(mat(rows), cfg.size)
 
 
 def _reduce(basis: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> Sequence[int]:
@@ -135,10 +140,7 @@ def _oracle(b: Matrix) -> GaleDual:
 
 def has_zero_column(b: Matrix) -> int | None:
     """Index of a zero Gale column (a loop), or None."""
-    for j in range(len(b[0])):
-        if all(row[j] == 0 for row in b):
-            return j
-    return None
+    return next((j for j, col in enumerate(_oracle(b)._columns) if not any(col)), None)
 
 
 def is_flat(b: Matrix, subset: Iterable[int]) -> bool:

@@ -20,7 +20,6 @@ from .linalg import (
     AffineSolution,
     Vector,
     det3,
-    mat,
     primitive,
     solve_affine,
     vec,
@@ -88,13 +87,9 @@ class TropicalComplex:
 def dual_vertex(cfg: PointConfig, u: Sequence, marked: Sequence[int]) -> Vector:
     """The point where all terms of a 3-dimensional cell's marked set agree."""
     heights = cfg.heights_from(u)
-    base = marked[0]
-    rows = []
-    rhs = []
-    for j in marked[1:]:
-        rows.append(vec_sub(vec(cfg.points[j]), vec(cfg.points[base])))
-        rhs.append(heights[base] - heights[j])
-    sol = solve_affine(mat(rows), vec(rhs))
+    base = cfg.points[marked[0]]
+    rows = [tuple(a - b for a, b in zip(cfg.points[j], base)) for j in marked[1:]]
+    sol = solve_affine(rows, [heights[marked[0]] - heights[j] for j in marked[1:]])
     assert isinstance(sol, AffineSolution), "cell system must be solvable"
     assert sol.unique, "maximal cells must pin a single dual vertex"
     return sol.particular

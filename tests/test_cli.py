@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,28 @@ def test_heights_required_exit_2(capsys, tmp_path):
     assert "heights" in err
 
 
+SIMPLEX = {"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "heights": [0, 0, 0, 0]}
+
+
+def test_flags_on_four_points_has_no_flags(capsys, tmp_path):
+    # s = 4: the Gale dual has no rows, so every point is a loop
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(SIMPLEX))
+    code, doc, err = run_json(capsys, "flags", str(path))
+    assert code == 0
+    assert doc["accepted_flags"] == []
+    assert doc["height_flag"]["levels"] == [["a", "b", "c", "d"]]
+    assert doc["height_flag"]["maximal"] is False
+
+
+def test_oracle_on_four_points_is_empty(capsys, tmp_path):
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(SIMPLEX))
+    code, doc, err = run_json(capsys, "oracle", str(path))
+    assert code == 0
+    assert doc == {"points": [], "families": []}
+
+
 def test_flags_enumeration_bound_exit_2(capsys, tmp_path):
     points = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     points += [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
@@ -241,11 +266,22 @@ def test_flags_enumeration_bound_exit_2(capsys, tmp_path):
     assert "at most 10 points" in err
 
 
-# Exit code and sha256 of stdout for the enumeration commands and the
-# certificate output on the sample inputs, recorded before the closure
-# oracle replaced subset enumeration in the matroid layer: refactors of
-# that layer must leave these bytes unchanged.
+# Exit code and sha256 of stdout on the sample inputs.  The enumeration
+# commands and the certificate output were recorded before the closure
+# oracle replaced subset enumeration in the matroid layer; `subdivide`,
+# `surface` and `render` (stacked cell relations and dual vertices) before
+# the fraction-free elimination replaced the Fraction one.  Refactors must
+# leave these bytes unchanged.
 GOLDEN = [
+    ("codim2_family", ("subdivide",), 0, "a42a4fd8042fdc42eb0c759f2be8140ff68607d9a1b350391d47e30f386821e0"),
+    ("codim2_family", ("surface",), 0, "331621836c18a30fb3ac6164525c0a1d560033deb7a2655c9eb580e3fcf05151"),
+    ("codim2_family", ("render",), 0, "10e1ba60612c503a69902e3f9e504869e6020c9c7b026e13f73855bd8cc3364d"),
+    ("ex_thomas", ("subdivide",), 0, "ff1fc4edc1cecb6fc8d1eab079d3e03ffd1a4ebc6ac19af2e5241da2433aa575"),
+    ("ex_thomas", ("surface",), 0, "6f6bc7d214b793e0405141d02de8f88409c44748b1bb3e9209ab4df7730de6f7"),
+    ("ex_thomas", ("render",), 0, "4f72e6905a43e794876971515447126cc8cec51cbb2b552edaad9130813de810"),
+    ("worked_example", ("subdivide",), 0, "fe877153e9be583d392999a966fa82638b5feabd4d3e06df43afddc3137d1314"),
+    ("worked_example", ("surface",), 0, "dad3649bac6960e6c47d31690b127d079c7468484920c7d34d4170c3846ccac3"),
+    ("worked_example", ("render",), 0, "4f845be40045109a13dd8e1e44430ed374a24177616c3593c41e9ccfcbbc26e0"),
     ("codim2_family", ("flags",), 0, "f05895c928521663258741379b83262248102fab2189b2b580d810515cb206f5"),
     ("codim2_family", ("oracle",), 0, "e9edc3d5d699769504e105c539b245caa7bf7a6f935e00083c562e0fd6999d4e"),
     ("codim2_family", ("singular", "--certificate"), 1, "37197e346a9b060bfe182c5300634646db7326201a3ba953a50832cfef117f87"),
@@ -265,3 +301,15 @@ def test_golden_stdout(capsys, name, command, code, digest):
     got, out, _ = run(capsys, command[0], str(DATA / f"{name}.json"), *command[1:])
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_stdout_without_asserts():
+    # `python -O` strips the self-checks of the exact kernel: outputs must
+    # not depend on them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, command, code, digest in GOLDEN:
+        argv = [sys.executable, "-O", "-m", "tropsurf.cli", command[0], str(DATA / f"{name}.json"), *command[1:]]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert proc.returncode == code, (name, command, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, (name, command)

@@ -91,6 +91,8 @@ def test_solve_underdetermined_kernel():
         ([[2]], F(2)),
         ([[1, 2], [3, 4]], F(-2)),
         ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], F(1)),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], F(-1)),
+        ([[F(1, 2), F(1, 3)], [F(1, 5), F(-1, 7)]], F(-1, 14) - F(1, 15)),
     ],
 )
 def test_determinant_small(rows, expected):
@@ -141,11 +143,52 @@ def test_solve_affine_solves(rows):
             assert all(x == 0 for x in mat_vec(m, k))
 
 
+def reference_rref(rows):
+    """Gauss-Jordan elimination in Fractions, independent of tropsurf.
+
+    Returns the reduced row echelon form, the pivot columns and, for a
+    square matrix, the determinant.
+    """
+    rows = [[F(x) for x in r] for r in rows]
+    pivots = []
+    det = F(1)
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            det = F(0)
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        det *= rows[r][c]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots, det
+
+
+def reference_kernel(rows, pivots, ncols):
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [F(0)] * ncols
+            v[f] = F(1)
+            for r, c in enumerate(pivots):
+                v[c] = -rows[r][f]
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
 @st.composite
-def rational_matrices(draw):
-    """Up to 6 x 6 rational matrices with zero rows and dependent rows, the
-    shapes Gale columns take."""
-    ncols = draw(st.integers(1, 6))
+def rational_matrices(draw, square=False):
+    """Up to 6 x 7 rational matrices with per-entry denominators, zero rows
+    and dependent rows, the shapes Gale columns and candidate systems take;
+    square ones are singular whenever a row is zero or dependent."""
+    ncols = draw(st.integers(1, 6 if square else 7))
     entry = st.one_of(
         st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12)
     )
@@ -153,10 +196,12 @@ def rational_matrices(draw):
         st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6)
     )
     rows = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["zero", "generator", "combination"]))
+    for _ in range(ncols if square else draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["zero", "fresh", "generator", "combination"]))
         if kind == "zero":
             rows.append([F(0)] * ncols)
+        elif kind == "fresh":
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
         elif kind == "generator":
             rows.append(draw(st.sampled_from(gens)))
         else:
@@ -165,13 +210,65 @@ def rational_matrices(draw):
     return mat(rows)
 
 
+@st.composite
+def affine_systems(draw):
+    """A matrix and a right-hand side: one in the column span, a free draw,
+    or an inconsistent one, whose last row combines the others while its
+    right-hand side misses the same combination by a nonzero amount."""
+    m = draw(rational_matrices())
+    value = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    kind = draw(st.sampled_from(["consistent", "free", "inconsistent"]))
+    if kind == "free":
+        return m, vec(draw(value) for _ in m)
+    b = list(mat_vec(m, [draw(value) for _ in m[0]]))
+    if kind == "inconsistent":
+        rows, b = list(m[:-1]), b[:-1]
+        coeffs = [draw(value) for _ in rows]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(len(m[0]))])
+        b.append(sum((c * v for c, v in zip(coeffs, b)), F(0)) + draw(value.filter(bool)))
+        m = mat(rows)
+    return m, vec(b)
+
+
 @settings(max_examples=200)
 @given(rational_matrices())
 def test_rank_bounds_and_kernel_complement(m):
-    # kernel_basis stays on _row_reduce, so this checks the fraction-free rank
-    # against an independent elimination
     ncols = len(m[0])
+    _, pivots, _ = reference_rref(m)
     r = rank(m)
-    assert 0 <= r <= min(len(m), ncols)
+    assert r == len(pivots)
     assert r + len(kernel_basis(m)) == ncols
     assert rank(transpose(m)) == r
+
+
+@settings(max_examples=200)
+@given(rational_matrices())
+def test_kernel_basis_matches_reference(m):
+    rows, pivots, _ = reference_rref(m)
+    assert kernel_basis(m) == reference_kernel(rows, pivots, len(m[0]))
+
+
+@settings(max_examples=200)
+@given(affine_systems())
+def test_solve_affine_matches_reference(system):
+    m, b = system
+    n = len(m[0])
+    rows, pivots, _ = reference_rref([list(r) + [v] for r, v in zip(m, b)])
+    sol = solve_affine(m, b)
+    if n in pivots:
+        assert isinstance(sol, Infeasible)
+        assert all(x == 0 for x in mat_vec(transpose(m), sol.witness))
+        assert dot(sol.witness, b) != 0
+        return
+    assert isinstance(sol, AffineSolution)
+    x = [F(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n]
+    assert sol.particular == tuple(x)
+    assert sol.kernel == reference_kernel(rows, pivots, n)
+
+
+@settings(max_examples=200)
+@given(rational_matrices(square=True))
+def test_determinant_matches_reference(m):
+    assert determinant(m) == reference_rref(m)[2]
