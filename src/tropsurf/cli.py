@@ -2,7 +2,8 @@
 
 Subcommands: subdivide, surface, flags, singular, catalog, oracle, render.
 Exit codes: 0 success, 1 refusal (the input is valid but outside the scope
-the classifier answers for), 2 malformed input.
+the classifier answers for), 2 malformed input, 3 internal error (a failed
+self-check or any other unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -337,6 +338,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,12 +1,11 @@
 """Lattice geometry: hulls, lattice-point enumeration, circuits, normal forms.
 
-Point sets here are tiny (a handful of monomial exponents), so hulls are
-computed by exhaustive supporting-hyperplane search and lattice points by a
-bounding-box scan with exact half-space tests.  The hull search runs on
-integers: each coordinate is scaled by the lcm of its denominators, the
-normal of each candidate hyperplane is the cofactor vector of its integer
-difference rows, and support is decided by integer dot products.  Everything
-is integer or `Fraction` arithmetic; nothing in this module ever rounds.
+Hulls are found by beneath-beyond insertion on integers: each coordinate is
+scaled by the lcm of its denominators, each simplicial facet's normal is the
+cofactor vector of its integer difference rows, and visibility and
+incidence are decided by integer dot products.  Lattice points come from a
+bounding-box scan with exact half-space tests.  Everything is integer or
+`Fraction` arithmetic; nothing in this module ever rounds.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
@@ -53,7 +53,7 @@ def affine_dim(points: Sequence[Sequence[Fraction]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Convex hulls by exhaustive supporting-hyperplane search
+# Convex hulls by beneath-beyond insertion
 # ---------------------------------------------------------------------------
 
 
@@ -87,12 +87,16 @@ class Hull:
     span_basis: tuple[Vector, ...]
 
     def vertex_indices(self, points: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
-        """Indices of input points that are vertices of the hull (full-dim only)."""
+        """Indices of input points that are vertices of the hull (full-dim only).
+
+        The facets through a vertex meet in it alone (and its copies); those
+        through any other point meet in a face that holds a second vertex.
+        """
         assert self.dim == self.ambient, "vertex_indices needs a full-dimensional hull"
         out = []
         for i, p in enumerate(points):
-            active = [f.normal for f in self.facets if dot(vec(f.normal), vec(p)) == f.offset]
-            if active and rank(mat(active)) == self.dim:
+            through = [f.incident for f in self.facets if i in f.incident]
+            if through and all(points[j] == p for j in frozenset.intersection(*through)):
                 out.append(i)
         return tuple(out)
 
@@ -129,12 +133,11 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     -----
     Full-dimensional input is mapped to integers by ``q = D p`` with
     ``D = diag(lcm of coordinate i's denominators)``.  ``D`` is positive, so
-    the map keeps every orientation and incidence.  For each ``ambient_dim``
-    points, the cofactor vector ``n`` of their difference rows is normal to
-    their hyperplane, and it is zero exactly when the points span less than
-    a hyperplane.  The hyperplane is a facet when all integer values
-    ``n . q`` lie on one side; it is reported as ``primitive(D n)`` with a
-    rational offset, the same facet in the input coordinates.
+    the map keeps every orientation and incidence.  `_beneath_beyond` finds
+    the facet hyperplanes ``n . q = c`` of the integer points, and one
+    integer pass over all points gives each facet's incident set.  A facet
+    is reported as ``primitive(D n)`` with a rational offset, the same facet
+    in the input coordinates.
     """
     assert ambient_dim in (2, 3, 4), f"unsupported ambient dimension {ambient_dim}"
     pts = [vec(p) for p in points]
@@ -161,37 +164,62 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     # integer image with the same orientations and incidences.
     scale = [lcm(*(p[i].denominator for p in pts)) for i in range(ambient_dim)]
     qs = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scale)) for p in pts]
-    seen: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
-    for combo in combinations(range(len(qs)), ambient_dim):
-        q0 = qs[combo[0]]
-        rows = [tuple(a - b for a, b in zip(qs[i], q0)) for i in combo[1:]]
-        n = _cofactor_normal(rows)
-        if not any(n):  # the rows have rank < ambient_dim - 1
-            continue
-        c = sum(a * b for a, b in zip(n, q0))
-        values = [sum(a * b for a, b in zip(n, q)) for q in qs]
-        if all(v <= c for v in values):
-            pass
-        elif all(v >= c for v in values):
-            n = tuple(-x for x in n)
-            c = -c
-            values = [-v for v in values]
-        else:
-            continue
-        g = gcd(*n)
-        seen[(tuple(x // g for x in n), c // g)] = frozenset(
-            i for i, v in enumerate(values) if v == c
-        )
     facets = []
-    for (n, c), incident in seen.items():
+    for n, c in _beneath_beyond(qs, ambient_dim):
+        values = [sum(map(mul, n, q)) for q in qs]
+        assert max(values) == c, "hull facet does not support every point"
         # n . q <= c  <=>  (D n) . p <= c; primitive(D n) = D n / g
         scaled = [a * s for a, s in zip(n, scale)]
         g = gcd(*scaled)
+        incident = frozenset(i for i, v in enumerate(values) if v == c)
         facets.append(Facet(tuple(x // g for x in scaled), Fraction(c, g), incident))
     facets.sort(key=lambda f: (f.normal, f.offset))
     return Hull(
         ambient=ambient_dim, dim=ambient_dim, facets=tuple(facets), span_base=base, span_basis=()
     )
+
+
+def _beneath_beyond(qs: Sequence[tuple[int, ...]], d: int) -> set[tuple[tuple[int, ...], int]]:
+    """Facets ``n . q = c`` (``n`` primitive) of full-dimensional integer points.
+
+    Beneath-beyond (Edelsbrunner 1987, 8.4) on simplicial facets, sorted
+    d-tuples of indices, from the first d + 1 affinely independent points;
+    their sum, d + 1 times a centroid, is interior and orients every normal.
+    The other points are inserted in index order: q sees the facets with
+    ``n . q > c``, and each ridge in exactly one of them spans a new facet
+    with q.  Coplanar simplices share their ``(n, c)``.
+    """
+    start = [0]
+    for i in range(1, len(qs)):
+        rows = [[a - b for a, b in zip(qs[j], qs[0])] for j in start[1:] + [i]]
+        if len(start) <= d and rank(rows) == len(rows):
+            start.append(i)
+    inner = [sum(qs[i][k] for i in start) for k in range(d)]
+
+    def plane(simplex: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        q0 = qs[simplex[0]]
+        n = _cofactor_normal([[a - b for a, b in zip(qs[i], q0)] for i in simplex[1:]])
+        g = gcd(*n)
+        if sum(map(mul, n, inner)) > (d + 1) * sum(map(mul, n, q0)):
+            g = -g
+        n = tuple(x // g for x in n)
+        return n, sum(map(mul, n, q0))
+
+    facets = {simplex: plane(simplex) for simplex in combinations(start, d)}
+    for i, q in enumerate(qs):
+        if i in start:
+            continue
+        visible = [f for f, (n, c) in facets.items() if sum(map(mul, n, q)) > c]
+        ridges: dict[tuple[int, ...], int] = {}
+        for f in visible:
+            del facets[f]
+            for ridge in combinations(f, d - 1):
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        for ridge, count in ridges.items():
+            if count == 1:
+                simplex = tuple(sorted(ridge + (i,)))
+                facets[simplex] = plane(simplex)
+    return set(facets.values())
 
 
 def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -413,11 +441,9 @@ def radon_partition(points: Sequence[Sequence[Fraction]]) -> RadonPartition:
         If the points are affinely independent, or if some proper subset is
         already dependent (the message names one such subset).
     """
-    pts = [vec(p) for p in points]
-    rows = [tuple(Fraction(1) for _ in pts)]
-    for i in range(len(pts[0])):
-        rows.append(tuple(p[i] for p in pts))
-    kern = kernel_basis(mat(rows))
+    pts = list(points)
+    rows = [(1,) * len(pts)] + [tuple(p[i] for p in pts) for i in range(len(pts[0]))]
+    kern = kernel_basis(rows)
     if not kern:
         raise NotACircuit("points are affinely independent")
     if len(kern) > 1:

@@ -74,10 +74,11 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class MarkedCell:
-    """One maximal cell: its marked point indices and its vertex indices."""
+    """One maximal cell: its marked indices, vertex indices and 2-faces."""
 
     marked: tuple[int, ...]
     vertices: tuple[int, ...]
+    faces: tuple[tuple[int, ...], ...] = ()  # config indices on each, in hull facet order
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,7 @@ class MarkedSubdivision:
 
     cells: tuple[MarkedCell, ...]
     dim_lineality: int  # dimension of the stacked relation space = codimension
+    relations: tuple[Vector, ...]  # the stacked per-cell affine relations
 
     @property
     def codim(self) -> int:
@@ -102,38 +104,31 @@ def regular_subdivision(cfg: PointConfig, u: Sequence) -> MarkedSubdivision:
     lifted = [vec(p) + (heights[i],) for i, p in enumerate(cfg.points)]
     if affine_dim(lifted) < 4:
         # affine heights: the trivial subdivision, everything marked
-        cells = (
-            MarkedCell(
-                marked=tuple(range(cfg.size)),
-                vertices=_cell_vertices(cfg, tuple(range(cfg.size))),
-            ),
+        cells = [_cell(cfg, tuple(range(cfg.size)))]
+    else:
+        hull = convex_hull(lifted, 4)
+        cells = sorted(
+            (_cell(cfg, tuple(sorted(f.incident))) for f in hull.facets if f.normal[3] > 0),
+            key=lambda c: c.marked,
         )
-        return MarkedSubdivision(cells=cells, dim_lineality=_stacked_rank(cfg, cells))
-    hull = convex_hull(lifted, 4)
-    cells = []
-    for facet in hull.facets:
-        if facet.normal[3] <= 0:
-            continue
-        marked = tuple(sorted(facet.incident))
-        cells.append(MarkedCell(marked=marked, vertices=_cell_vertices(cfg, marked)))
-    cells.sort(key=lambda c: c.marked)
-    out = tuple(cells)
-    assert out, "a regular subdivision has at least one upper cell"
-    return MarkedSubdivision(cells=out, dim_lineality=_stacked_rank(cfg, out))
+    assert cells, "a regular subdivision has at least one upper cell"
+    relations = _stacked_relations(cfg, cells)
+    return MarkedSubdivision(tuple(cells), rank(mat(relations)), relations)
 
 
-def _cell_vertices(cfg: PointConfig, marked: tuple[int, ...]) -> tuple[int, ...]:
+def _cell(cfg: PointConfig, marked: tuple[int, ...]) -> MarkedCell:
+    """The cell on the marked points, with its vertices and 2-faces from one hull."""
     pts = [cfg.points[i] for i in marked]
     hull = convex_hull(pts, 3)
     assert hull.dim == 3, "maximal cells must be 3-dimensional"
-    return tuple(marked[i] for i in hull.vertex_indices(pts))
+    return MarkedCell(
+        marked=marked,
+        vertices=tuple(marked[i] for i in hull.vertex_indices(pts)),
+        faces=tuple(tuple(sorted(marked[i] for i in f.incident)) for f in hull.facets),
+    )
 
 
-def _stacked_rank(cfg: PointConfig, cells: Sequence[MarkedCell]) -> int:
-    return rank(mat(_stacked_relations(cfg, cells)))
-
-
-def _stacked_relations(cfg: PointConfig, cells: Sequence[MarkedCell]) -> list[Vector]:
+def _stacked_relations(cfg: PointConfig, cells: Sequence[MarkedCell]) -> tuple[Vector, ...]:
     a = cfg.matrix_a
     out: list[Vector] = []
     for cell in cells:
@@ -143,12 +138,12 @@ def _stacked_relations(cfg: PointConfig, cells: Sequence[MarkedCell]) -> list[Ve
             for pos, j in enumerate(cell.marked):
                 full[j] = k[pos]
             out.append(tuple(full))
-    return out
+    return tuple(out)
 
 
 def secondary_codim(cfg: PointConfig, subdivision: MarkedSubdivision) -> int:
     """Codimension of the secondary cone: rank of all stacked cell relations."""
-    return _stacked_rank(cfg, subdivision.cells)
+    return rank(mat(_stacked_relations(cfg, subdivision.cells)))
 
 
 def is_maximal_dimensional_type(cfg: PointConfig, subdivision: MarkedSubdivision) -> bool:
@@ -188,11 +183,9 @@ def extract_circuit(cfg: PointConfig, subdivision: MarkedSubdivision) -> Circuit
     Verifies on the way that every marked cell not containing the circuit is
     a vertex-marked simplex (anything else contradicts codimension 1).
     """
-    stacked = _stacked_relations(cfg, subdivision.cells)
-    codim = rank(mat(stacked))
-    if codim != 1:
-        return NotCodimOne(codim=codim)
-    gen = next(v for v in stacked if any(x != 0 for x in v))
+    if subdivision.codim != 1:
+        return NotCodimOne(codim=subdivision.codim)
+    gen = next(v for v in subdivision.relations if any(x != 0 for x in v))
     lead = next(x for x in gen if x != 0)
     if lead < 0:
         gen = tuple(-x for x in gen)

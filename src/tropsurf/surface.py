@@ -113,14 +113,8 @@ def build_complex(
 
     # 2-faces of maximal cells, keyed by the config indices lying on them
     cell_faces: dict[tuple[int, ...], list[int]] = {}
-    face_edges: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
-    per_cell_hull = []
     for ci, cell in enumerate(t.cells):
-        pts = [cfg.points[i] for i in cell.marked]
-        hull = convex_hull(pts, 3)
-        per_cell_hull.append((cell, hull))
-        for facet in hull.facets:
-            key = tuple(sorted(cell.marked[i] for i in facet.incident))
+        for key in cell.faces:
             cell_faces.setdefault(key, []).append(ci)
 
     delta = convex_hull(cfg.points, 3)
@@ -143,13 +137,12 @@ def build_complex(
 
     # subdivision edges: intersections of two 2-faces of one cell
     edge_cells: dict[tuple[int, ...], set[int]] = {}
-    for ci, (cell, hull) in enumerate(per_cell_hull):
-        for f1, f2 in combinations(hull.facets, 2):
-            shared = f1.incident & f2.incident
+    for ci, cell in enumerate(t.cells):
+        for f1, f2 in combinations(cell.faces, 2):
+            shared = set(f1) & set(f2)
             if len(shared) < 2:
                 continue
-            key = tuple(sorted(cell.marked[i] for i in shared))
-            edge_cells.setdefault(key, set()).add(ci)
+            edge_cells.setdefault(tuple(sorted(shared)), set()).add(ci)
 
     faces = []
     for key, cells in sorted(edge_cells.items()):

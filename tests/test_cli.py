@@ -12,6 +12,7 @@ import pytest
 from tropsurf.cli import main, point_label
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+INPUTS = Path(__file__).resolve().parent / "inputs"
 EX_THOMAS = str(DATA / "ex_thomas.json")
 WORKED = str(DATA / "worked_example.json")
 CODIM2 = str(DATA / "codim2_family.json")
@@ -266,12 +267,25 @@ def test_flags_enumeration_bound_exit_2(capsys, tmp_path):
     assert "at most 10 points" in err
 
 
+def test_internal_error_exit_3(capsys, monkeypatch):
+    def broken(cfg, u):
+        raise RuntimeError("hull self-check failed")
+
+    monkeypatch.setattr("tropsurf.cli.classify", broken)
+    code, out, err = run(capsys, "singular", EX_THOMAS)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: hull self-check failed\n"
+
+
 # Exit code and sha256 of stdout on the sample inputs.  The enumeration
 # commands and the certificate output were recorded before the closure
 # oracle replaced subset enumeration in the matroid layer; `subdivide`,
 # `surface` and `render` (stacked cell relations and dual vertices) before
-# the fraction-free elimination replaced the Fraction one.  Refactors must
-# leave these bytes unchanged.
+# the fraction-free elimination replaced the Fraction one; the two
+# lattice-saturated codimension-one sets under `tests/inputs/` (n = 12 and
+# 16) before beneath-beyond replaced the exhaustive hull search.  Refactors
+# must leave these bytes unchanged.
 GOLDEN = [
     ("codim2_family", ("subdivide",), 0, "a42a4fd8042fdc42eb0c759f2be8140ff68607d9a1b350391d47e30f386821e0"),
     ("codim2_family", ("surface",), 0, "331621836c18a30fb3ac6164525c0a1d560033deb7a2655c9eb580e3fcf05151"),
@@ -291,14 +305,25 @@ GOLDEN = [
     ("worked_example", ("flags",), 0, "cfd5b2a6010de3cefb92de4f7f0aaf5b299bd336e64843e03ae87662a0904047"),
     ("worked_example", ("oracle",), 0, "8b41e76495bf41949f5d0f503493bfd5454d45c9ddd3bebb6033d08e0c2abbe7"),
     ("worked_example", ("singular", "--certificate"), 0, "80182b4c2e56bfabf791cb3f0ffc8898aed04c926e1c72a36af66b6b0bcff167"),
+    ("saturated_n12", ("subdivide",), 0, "829841aa386bbc720aeeb31d9bb34641626e54bfccdfd58fa6736c98ec84be2d"),
+    ("saturated_n12", ("surface",), 0, "b5332db7ed4e847d4bf1c68cd3d00de5ae66c2d17310994db8949788907e2f67"),
+    ("saturated_n12", ("singular",), 0, "25e9f219d6b5dbaba75773b6e0440bb306ae20396dff97348d94d9ddefd3f707"),
+    ("saturated_n16", ("subdivide",), 0, "2449bb4155f4ce79a1c1fbae5e23bbb7eafa98cded506006648a3d95db7572b4"),
+    ("saturated_n16", ("surface",), 0, "7da880d27f0a93ecf5c14af0e407de1bcc785e973f72655730e3a0edbf744030"),
+    ("saturated_n16", ("singular",), 0, "376847a50182640c60f73151f3b41d4a0f2e9c09a5183fa6b1dff7f5b27ef85f"),
 ]
+
+
+def golden_input(name: str) -> str:
+    local = INPUTS / f"{name}.json"
+    return str(local if local.exists() else DATA / f"{name}.json")
 
 
 @pytest.mark.parametrize(
     "name, command, code, digest", GOLDEN, ids=[f"{g[0]}-{g[1][0]}" for g in GOLDEN]
 )
 def test_golden_stdout(capsys, name, command, code, digest):
-    got, out, _ = run(capsys, command[0], str(DATA / f"{name}.json"), *command[1:])
+    got, out, _ = run(capsys, command[0], golden_input(name), *command[1:])
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -309,7 +334,7 @@ def test_golden_stdout_without_asserts():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, command, code, digest in GOLDEN:
-        argv = [sys.executable, "-O", "-m", "tropsurf.cli", command[0], str(DATA / f"{name}.json"), *command[1:]]
+        argv = [sys.executable, "-O", "-m", "tropsurf.cli", command[0], golden_input(name), *command[1:]]
         proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
         assert proc.returncode == code, (name, command, proc.stderr)
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, (name, command)

@@ -328,3 +328,48 @@ def test_convex_hull_matches_reference(case):
     dim, facets = reference_hull(pts, d)
     assert hull.dim == dim
     assert [(f.normal, f.offset, f.incident) for f in hull.facets] == facets
+
+
+def reference_vertices(points, facets):
+    """Indices whose active facet normals have full rank (full-dim hulls)."""
+    pts = [tuple(F(x) for x in p) for p in points]
+    out = []
+    for i, p in enumerate(pts):
+        active = [list(n) for n, c, _ in facets if _ref_dot(n, p) == c]
+        if active and _ref_rank(active) == len(p):
+            out.append(i)
+    return tuple(out)
+
+
+@st.composite
+def lifted_box_points(draw):
+    """Up to 12 points of {0,1,2}^3 lifted by small heights, two may be copies.
+
+    Box points are heavily coplanar, and heights from a short range make
+    many lifted points coplanar too: the shape the regular subdivision
+    hulls.  Returns the points and a permutation of their indices.
+    """
+    box = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    base = draw(st.lists(st.sampled_from(box), min_size=5, max_size=10, unique=True))
+    denoms = st.sampled_from([1, 2, 3]) if draw(st.booleans()) else st.just(1)
+    pts = [p + (F(draw(st.integers(-3, 3)), draw(denoms)),) for p in base]
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=2))]
+    return pts, draw(st.permutations(range(len(pts))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lifted_box_points())
+def test_lifted_box_hull_matches_reference(case):
+    pts, perm = case
+    hull = convex_hull(pts, 4)
+    dim, facets = reference_hull(pts, 4)
+    assert hull.dim == dim
+    got = [(f.normal, f.offset, f.incident) for f in hull.facets]
+    assert got == facets
+    if dim < 4:
+        return
+    # position k of the permuted input holds point perm[k]: relabelled, its
+    # hull is the same, so the insertion order does not matter
+    permuted = convex_hull([pts[j] for j in perm], 4)
+    assert [(f.normal, f.offset, frozenset(perm[k] for k in f.incident)) for f in permuted.facets] == got
+    assert hull.vertex_indices(pts) == reference_vertices(pts, facets)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from tests.frozen import (
     WORKED,
     worked_heights,
 )
-from tropsurf.lattice import CircuitType, lattice_volume
+from tropsurf.jsonio import load_input_file
+from tropsurf.lattice import CircuitType, convex_hull, lattice_volume
 from tropsurf.subdivision import (
     InvalidConfig,
     NotCodimOne,
@@ -176,3 +178,29 @@ def test_cell_volumes_add_up(u):
     total = lattice_volume(TRAPEZE.points)
     parts = sum(lattice_volume([TRAPEZE.points[i] for i in c.marked]) for c in sd.cells)
     assert parts == total, f"cell volumes {parts} != hull volume {total}"
+
+
+INPUTS = Path(__file__).resolve().parent / "inputs"
+
+
+@pytest.mark.parametrize(
+    "cfg, u",
+    [
+        (SIMPLEX, (0, 0, 0, 0)),
+        (EX_THOMAS, U_EX_THOMAS),
+        (WORKED, worked_heights(-3)),
+        (DEFECTIVE8, U_DEFECTIVE8),
+        (CODIM2, U_CODIM2),
+        (TRAPEZE, U_TRAPEZE),
+        load_input_file(str(INPUTS / "saturated_n12.json")),
+        load_input_file(str(INPUTS / "saturated_n16.json")),
+    ],
+)
+def test_cell_faces_and_vertices_match_a_fresh_hull(cfg, u):
+    for cell in regular_subdivision(cfg, u).cells:
+        pts = [cfg.points[i] for i in cell.marked]
+        hull = convex_hull(pts, 3)
+        assert cell.vertices == tuple(cell.marked[i] for i in hull.vertex_indices(pts))
+        assert cell.faces == tuple(
+            tuple(sorted(cell.marked[i] for i in f.incident)) for f in hull.facets
+        )
