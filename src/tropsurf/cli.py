@@ -267,8 +267,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     cfg, heights = load_input_file(args.input)
     u = _require_heights(heights)
-    report = classify(cfg, u)
-    complex_ = build_complex(cfg, u)
+    t = regular_subdivision(cfg, u)
+    report = classify(cfg, u, subdivision=t)
+    complex_ = build_complex(cfg, u, subdivision=t)
     text = render_off(
         complex_,
         singular=[(sp.location, sp.label) for sp in report.points],

@@ -6,6 +6,10 @@ engine enumerates candidate points from the circuit of a codimension-1
 subdivision, checks each candidate against the flats criterion, classifies
 the accepted ones into the local shapes (pentatope, tetrahedron, pyramid
 edge, trapeze, barycenter), and refuses non-generic inputs.
+
+Lineality shifts, the closed-cell test and `_line_interval` (the t-interval
+of a line on which given height pairs stay ordered) read the terms
+u_i + m_i . p as integer numerators from `surface._scaled_terms`.
 """
 
 from __future__ import annotations
@@ -54,19 +58,20 @@ from .subdivision import (
     is_maximal_dimensional_type,
     regular_subdivision,
 )
-from .surface import dual_vertex, tropical_eval
+from .surface import _scaled_terms, dual_vertex, tropical_eval
 
 Route = tuple[str, tuple[int, ...]]
 
 
 def lineality_vector(cfg: PointConfig, x: Sequence) -> Vector:
     """The height shift (m . x)_m induced by translating the surface by x."""
-    p = vec(x)
-    return tuple(sum(Fraction(m) * q for m, q in zip(pt, p)) for pt in cfg.points)
+    return shifted_heights(cfg, (0,) * cfg.size, x)
 
 
 def shifted_heights(cfg: PointConfig, u: Sequence, p: Sequence) -> Vector:
-    return vec_add(cfg.heights_from(u), lineality_vector(cfg, p))
+    """The heights u + (m . p)_m, whose flag decides whether p is singular."""
+    terms, d = _scaled_terms(cfg, u, p)
+    return tuple(Fraction(t, d) for t in terms)
 
 
 @dataclass(frozen=True)
@@ -161,11 +166,6 @@ def _chain_pairs(indices: Sequence[int]) -> list[tuple[int, int]]:
     return [(indices[0], j) for j in indices[1:]]
 
 
-def _in_closed_cell(cfg: PointConfig, u: Vector, circuit: Circuit, p: Vector) -> bool:
-    _, argmax = tropical_eval(cfg, u, p)
-    return set(circuit.indices) <= set(argmax)
-
-
 def candidate_points(
     cfg: PointConfig, u: Sequence, circuit: Circuit
 ) -> tuple[tuple[Candidate, ...], tuple[FamilyCandidate, ...]]:
@@ -202,11 +202,12 @@ def candidate_points(
             continue
         if sol.unique:
             p = sol.particular
-            if _in_closed_cell(cfg, heights, circuit, p):
+            if set(circuit.indices) <= set(tropical_eval(cfg, heights, p)[1]):
                 found.setdefault(p, []).append(route)
             continue
         if len(sol.kernel) == 1:
-            clipped = _clip_line_to_cell(cfg, heights, circuit, sol.particular, sol.kernel[0])
+            in_cell = [(k, circuit.indices[0]) for k in others]  # h_k <= h_c0 off the circuit
+            clipped = _line_interval(cfg, heights, in_cell, sol.particular, sol.kernel[0])
             if clipped is None:
                 continue
             lo, hi = clipped
@@ -225,36 +226,6 @@ def candidate_points(
         Candidate(point=p, routes=tuple(sorted(rs))) for p, rs in sorted(found.items())
     )
     return cands, tuple(families)
-
-
-def _clip_line_to_cell(
-    cfg: PointConfig, u: Vector, circuit: Circuit, base: Vector, direction: Vector
-) -> tuple[Fraction | None, Fraction | None] | None:
-    """Interval of t with base + t*direction in the closed dual cell, or None."""
-    c0 = circuit.indices[0]
-    m0 = vec(cfg.points[c0])
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for k in range(cfg.size):
-        if k in circuit.indices:
-            continue
-        mk = vec(cfg.points[k])
-        alpha = (u[k] - u[c0]) + sum(
-            (a - b) * x for a, b, x in zip(mk, m0, base)
-        )
-        beta = sum((a - b) * d for a, b, d in zip(mk, m0, direction))
-        if beta == 0:
-            if alpha > 0:
-                return None
-            continue
-        bound = -alpha / beta
-        if beta > 0:
-            hi = bound if hi is None or bound < hi else hi
-        else:
-            lo = bound if lo is None or bound > lo else lo
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -287,15 +258,18 @@ class SingularityReport:
         return bool(self.refusals)
 
 
-def classify(cfg: PointConfig, u: Sequence) -> SingularityReport:
+def classify(
+    cfg: PointConfig, u: Sequence, subdivision: MarkedSubdivision | None = None
+) -> SingularityReport:
     """Full pipeline: subdivision gates, candidates, lifting, local shapes.
 
     Refuses (rather than answers) when the subdivision is not codimension 1,
     when the configuration is not of maximal-dimensional type, or when the
-    heights are not generic for the singular point found.
+    heights are not generic for the singular point found.  ``subdivision``
+    is the caller's `regular_subdivision` of ``(cfg, u)``, if it has one.
     """
     heights = cfg.heights_from(u)
-    t = regular_subdivision(cfg, heights)
+    t = subdivision if subdivision is not None else regular_subdivision(cfg, heights)
     codim = t.dim_lineality
     if codim != 1:
         return SingularityReport(
@@ -458,13 +432,13 @@ def _family_scan(
         return hits >= 2, ()
     d = fam.directions[0]
     lo, hi = fam.lo, fam.hi
-    alpha = [u[k] + sum(Fraction(m) * x for m, x in zip(cfg.points[k], fam.base)) for k in range(cfg.size)]
-    beta = [sum(Fraction(m) * x for m, x in zip(cfg.points[k], d)) for k in range(cfg.size)]
+    alpha, da = _scaled_terms(cfg, u, fam.base)
+    beta, db = _scaled_terms(cfg, (0,) * cfg.size, d)
     marks: set[Fraction] = set()
     for i, j in combinations(range(cfg.size), 2):
         if beta[i] == beta[j]:
             continue
-        t = (alpha[j] - alpha[i]) / (beta[i] - beta[j])
+        t = Fraction((alpha[j] - alpha[i]) * db, (beta[i] - beta[j]) * da)
         if (lo is None or t >= lo) and (hi is None or t <= hi):
             marks.add(t)
     if lo is not None:
@@ -945,10 +919,12 @@ def _chain_scan(
         if len(sol.kernel) != 1:
             continue  # flat 2-dimensional families are outside the supported shapes
         d = sol.kernel[0]
-        lo, hi = _chain_order_interval(cfg, heights, diffs, sol.particular, d)
-        if lo is not None and hi is not None and lo > hi:
+        steps = [(lower[0], upper[0]) for lower, upper in zip(diffs, diffs[1:])]  # ascending levels
+        interval = _line_interval(cfg, heights, steps, sol.particular, d)
+        if interval is None:
             continue
-        if lo is not None and hi is not None and lo == hi:
+        lo, hi = interval
+        if lo is not None and lo == hi:
             p = vec_add(sol.particular, vec_scale(lo, d))
             shifted = shifted_heights(cfg, heights, p)
             if all_levels_flats(b, flag_of_subsets(shifted)) is None:
@@ -992,32 +968,36 @@ def _chain_scan(
     return tuple(sorted(points)), tuple(sorted(kept, key=repr))
 
 
-def _chain_order_interval(
+def _line_interval(
     cfg: PointConfig,
     u: Vector,
-    diffs: tuple[tuple[int, ...], ...],
+    pairs: Sequence[tuple[int, int]],
     base: Vector,
     direction: Vector,
-) -> tuple[Fraction | None, Fraction | None]:
-    """t-interval where consecutive chain levels keep ascending heights."""
+) -> tuple[Fraction | None, Fraction | None] | None:
+    """t-interval on which h_i <= h_j holds for every pair (i, j), or None if empty.
+
+    ``h = u + (m . p)_m`` at ``p = base + t * direction``; signs are read on
+    integer numerators, and a ``Fraction`` is built only for a bound.
+    """
+    alpha, da = _scaled_terms(cfg, u, base)
+    beta, db = _scaled_terms(cfg, (0,) * cfg.size, direction)
     lo: Fraction | None = None
     hi: Fraction | None = None
-    for lower, upper in zip(diffs, diffs[1:]):
-        i, j = lower[0], upper[0]
-        mi = vec(cfg.points[i])
-        mj = vec(cfg.points[j])
-        # need h_j - h_i >= 0 along base + t*direction
-        alpha = (u[j] - u[i]) + sum((a - c) * x for a, c, x in zip(mj, mi, base))
-        beta = sum((a - c) * d for a, c, d in zip(mj, mi, direction))
-        if beta == 0:
-            if alpha < 0:
-                return Fraction(1), Fraction(0)  # empty
+    for i, j in pairs:
+        # need (alpha_j - alpha_i) / da + t * (beta_j - beta_i) / db >= 0
+        a, b = alpha[j] - alpha[i], beta[j] - beta[i]
+        if b == 0:
+            if a < 0:
+                return None
             continue
-        bound = -alpha / beta
-        if beta > 0:
+        bound = Fraction(-a * db, b * da)
+        if b > 0:
             lo = bound if lo is None or bound > lo else lo
         else:
             hi = bound if hi is None or bound < hi else hi
+    if lo is not None and hi is not None and lo > hi:
+        return None
     return lo, hi
 
 

@@ -5,6 +5,11 @@ Duality: maximal cells of the subdivision give surface vertices, interior
 2-faces give bounded edges, boundary 2-faces give unbounded edges (rays
 along outer normals of the hull), and subdivision edges give 2-cells whose
 weight is the lattice length of the edge.
+
+``_scaled_terms`` gives each term u_i + m_i . p as an integer numerator
+``U_i + m_i . P`` over one common denominator ``D`` (``U = D * u``,
+``P = D * p``); ``tropical_eval`` and the engine's lineality shifts and line
+intervals compare these, and build a ``Fraction`` only for a result.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
-from .lattice import convex_hull, segment_lattice_count
+from .lattice import LatticePoint, convex_hull, segment_lattice_count
 from .linalg import (
     AffineSolution,
     Vector,
@@ -28,14 +34,25 @@ from .linalg import (
 from .subdivision import MarkedCell, MarkedSubdivision, PointConfig, regular_subdivision
 
 
-def tropical_eval(cfg: PointConfig, u: Sequence, p: Sequence) -> tuple[Fraction, tuple[int, ...]]:
-    """Value and argmax set of max_i(u_i + m_i . p) at the point p."""
+def _scaled_terms(cfg: PointConfig, u: Sequence, p: Sequence) -> tuple[list[int], int]:
+    """Numerators of u_i + m_i . p over ``D``, the lcm of the denominators of u and p."""
     heights = cfg.heights_from(u)
     q = vec(p)
-    assert len(q) == 3, "evaluation point must be 3-dimensional"
-    terms = [heights[i] + sum(Fraction(m) * x for m, x in zip(pt, q)) for i, pt in enumerate(cfg.points)]
-    value = max(terms)
-    return value, tuple(i for i, t in enumerate(terms) if t == value)
+    if len(q) != 3:
+        raise ValueError(f"evaluation point must be 3-dimensional, got {len(q)} coordinates")
+    d = lcm(*(h.denominator for h in heights), *(x.denominator for x in q))
+    x, y, z = (c.numerator * (d // c.denominator) for c in q)
+    return [
+        h.numerator * (d // h.denominator) + a * x + b * y + c * z
+        for h, (a, b, c) in zip(heights, cfg.points)
+    ], d
+
+
+def tropical_eval(cfg: PointConfig, u: Sequence, p: Sequence) -> tuple[Fraction, tuple[int, ...]]:
+    """Value and argmax set of max_i(u_i + m_i . p) at the point p."""
+    terms, d = _scaled_terms(cfg, u, p)
+    top = max(terms)
+    return Fraction(top, d), tuple(i for i, t in enumerate(terms) if t == top)
 
 
 @dataclass(frozen=True)
@@ -165,13 +182,14 @@ def build_complex(
     return TropicalComplex(vertices=tuple(vertices), edges=tuple(edges), faces=tuple(faces))
 
 
-def _segment_endpoints(points: Sequence[tuple]) -> tuple[tuple, tuple]:
-    """Extreme points of a set of collinear points."""
+def _segment_endpoints(points: Sequence[LatticePoint]) -> tuple[LatticePoint, LatticePoint]:
+    """Extreme points of a set of collinear lattice points."""
     assert len(points) >= 2
     p0 = points[0]
-    direction = next(vec_sub(vec(p), vec(p0)) for p in points[1:] if tuple(p) != tuple(p0))
+    direction = next(tuple(a - b for a, b in zip(p, p0)) for p in points[1:] if p != p0)
     axis = max(range(3), key=lambda i: abs(direction[i]))
-    ordered = sorted(points, key=lambda p: Fraction(p[axis]) * (1 if direction[axis] > 0 else -1))
+    sign = 1 if direction[axis] > 0 else -1
+    ordered = sorted(points, key=lambda p: sign * p[axis])
     return ordered[0], ordered[-1]
 
 

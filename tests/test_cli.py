@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tropsurf import cli, engine, subdivision, surface
 from tropsurf.cli import main, point_label
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -192,6 +193,21 @@ def test_render_to_file(capsys, tmp_path):
     assert "OFF" in target.read_text().splitlines()
 
 
+@pytest.mark.parametrize("name", ["ex_thomas", "saturated_n12"])
+def test_render_builds_the_subdivision_once(capsys, monkeypatch, name):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return subdivision.regular_subdivision(*args, **kwargs)
+
+    for module in (cli, engine, surface):
+        monkeypatch.setattr(module, "regular_subdivision", counted)
+    code, out, _ = run(capsys, "render", golden_input(name))
+    assert code == 0 and "OFF" in out.splitlines()
+    assert len(calls) == 1
+
+
 def test_missing_file_exit_2(capsys):
     code, out, err = run(capsys, "singular", "no_such_file.json")
     assert code == 2
@@ -284,8 +300,11 @@ def test_internal_error_exit_3(capsys, monkeypatch):
 # `surface` and `render` (stacked cell relations and dual vertices) before
 # the fraction-free elimination replaced the Fraction one; the two
 # lattice-saturated codimension-one sets under `tests/inputs/` (n = 12 and
-# 16) before beneath-beyond replaced the exhaustive hull search.  Refactors
-# must leave these bytes unchanged.
+# 16) before beneath-beyond replaced the exhaustive hull search; their
+# certificates and renders, and `saturated_n12_shifted` (the n = 12 heights
+# plus the lineality shift of x = (1/3, -2/5, 1/7), so rational heights),
+# before the terms u_i + m_i . p were evaluated on integers.  Refactors must
+# leave these bytes unchanged.
 GOLDEN = [
     ("codim2_family", ("subdivide",), 0, "a42a4fd8042fdc42eb0c759f2be8140ff68607d9a1b350391d47e30f386821e0"),
     ("codim2_family", ("surface",), 0, "331621836c18a30fb3ac6164525c0a1d560033deb7a2655c9eb580e3fcf05151"),
@@ -311,7 +330,23 @@ GOLDEN = [
     ("saturated_n16", ("subdivide",), 0, "2449bb4155f4ce79a1c1fbae5e23bbb7eafa98cded506006648a3d95db7572b4"),
     ("saturated_n16", ("surface",), 0, "7da880d27f0a93ecf5c14af0e407de1bcc785e973f72655730e3a0edbf744030"),
     ("saturated_n16", ("singular",), 0, "376847a50182640c60f73151f3b41d4a0f2e9c09a5183fa6b1dff7f5b27ef85f"),
+    ("saturated_n12", ("singular", "--certificate"), 0, "de60d076d333e23bfc5bba3807b9092b12e39fcb524c7cb426f4c9e8a981b7e0"),
+    ("saturated_n12", ("render",), 0, "119f5b8ef2e258bab39c879bc2dba4d65054904d2dce002f9b2f56638db2f28a"),
+    ("saturated_n16", ("singular", "--certificate"), 0, "8c60757e32a90a990c68442bbed9dc72ab338e004c391adf11c6c18f9ad94baa"),
+    ("saturated_n16", ("render",), 0, "2692695f386155c4a07c58f76f4a72fc009a1b4f2bf4fbf2235f508b5d15ceb2"),
+    ("saturated_n12_shifted", ("subdivide",), 0, "829841aa386bbc720aeeb31d9bb34641626e54bfccdfd58fa6736c98ec84be2d"),
+    ("saturated_n12_shifted", ("surface",), 0, "cfed39df591053f6c13224293be5e52bfa2f701d7eac29ad2527179f75557cee"),
+    ("saturated_n12_shifted", ("singular", "--certificate"), 0, "a891db61c0de95bd83bf75e5ef265a1b40358fe393d037a84b5f2e5065048543"),
+    ("saturated_n12_shifted", ("render",), 0, "3b2b37425a86520026ee4e3e0e434a259e2864687c69c1baf7228fe4199ba054"),
 ]
+
+
+def golden_id(entry: tuple) -> str:
+    """``<input>-<subcommand>``; a second entry for the same pair adds its flags."""
+    name, command = entry[0], entry[1]
+    short = f"{name}-{command[0]}"
+    first = next(g for g in GOLDEN if g[0] == name and g[1][0] == command[0])
+    return short if first is entry else "-".join([short, *(a.lstrip("-") for a in command[1:])])
 
 
 def golden_input(name: str) -> str:
@@ -320,7 +355,7 @@ def golden_input(name: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "name, command, code, digest", GOLDEN, ids=[f"{g[0]}-{g[1][0]}" for g in GOLDEN]
+    "name, command, code, digest", GOLDEN, ids=[golden_id(g) for g in GOLDEN]
 )
 def test_golden_stdout(capsys, name, command, code, digest):
     got, out, _ = run(capsys, command[0], golden_input(name), *command[1:])

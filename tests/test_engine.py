@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tests.frozen import (
     B12,
@@ -29,6 +29,7 @@ from tests.frozen import (
 from tropsurf.engine import (
     Certificate,
     LiftReject,
+    _line_interval,
     classify,
     eq_b114_distance,
     is_generic,
@@ -38,7 +39,8 @@ from tropsurf.engine import (
     shifted_heights,
     singular_family,
 )
-from tropsurf.subdivision import PointConfig
+from tropsurf.subdivision import InvalidConfig, PointConfig
+from tropsurf.surface import tropical_eval
 
 F = Fraction
 
@@ -50,6 +52,103 @@ def test_lineality_vector_is_evaluation():
     assert v == tuple(F(p[0]) for p in EX_THOMAS.points)
     shifted = shifted_heights(EX_THOMAS, U_EX_THOMAS, (1, 0, 0))
     assert shifted == tuple(u + x for u, x in zip(U_EX_THOMAS, v))
+
+
+def _fraction_terms(cfg, u, p):
+    return [F(h) + sum(F(m) * F(x) for m, x in zip(pt, p)) for h, pt in zip(u, cfg.points)]
+
+
+def _old_clip(cfg, u, circuit, base, direction):
+    """The closed-dual-cell clip as a loop over the points off the circuit."""
+    c0 = circuit[0]
+    m0 = cfg.points[c0]
+    lo = hi = None
+    for k in range(cfg.size):
+        if k in circuit:
+            continue
+        mk = cfg.points[k]
+        alpha = (u[k] - u[c0]) + sum((a - b) * x for a, b, x in zip(mk, m0, base))
+        beta = sum((a - b) * d for a, b, d in zip(mk, m0, direction))
+        if beta == 0:
+            if alpha > 0:
+                return None
+            continue
+        bound = -alpha / beta
+        if beta > 0:
+            hi = bound if hi is None or bound < hi else hi
+        else:
+            lo = bound if lo is None or bound > lo else lo
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _old_chain_order(cfg, u, diffs, base, direction):
+    """The ascending-levels interval as a loop over consecutive chain levels."""
+    lo = hi = None
+    for lower, upper in zip(diffs, diffs[1:]):
+        mi, mj = cfg.points[lower[0]], cfg.points[upper[0]]
+        alpha = (u[upper[0]] - u[lower[0]]) + sum((a - c) * x for a, c, x in zip(mj, mi, base))
+        beta = sum((a - c) * d for a, c, d in zip(mj, mi, direction))
+        if beta == 0:
+            if alpha < 0:
+                return None
+            continue
+        bound = -alpha / beta
+        if beta > 0:
+            lo = bound if lo is None or bound > lo else lo
+        else:
+            hi = bound if hi is None or bound < hi else hi
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+RATIONAL = st.fractions(-5, 5, max_denominator=12)
+SLOPE = st.one_of(st.integers(-2, 2).map(F), RATIONAL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=10, unique=True),
+    st.data(),
+)
+def test_integer_terms_match_fraction_sums(points, data):
+    """Evaluation, shifts and line intervals against plain Fraction sums."""
+    try:
+        cfg = PointConfig(points=tuple(points))
+    except InvalidConfig:
+        assume(False)
+    n = cfg.size
+    u = data.draw(st.tuples(*[RATIONAL] * n))
+    base = data.draw(st.tuples(*[RATIONAL] * 3))
+    direction = data.draw(st.tuples(*[SLOPE] * 3))
+
+    terms = _fraction_terms(cfg, u, base)
+    value, argmax = tropical_eval(cfg, u, base)
+    assert value == max(terms)
+    assert argmax == tuple(i for i, t in enumerate(terms) if t == value)
+    assert shifted_heights(cfg, u, base) == tuple(terms)
+    assert lineality_vector(cfg, direction) == tuple(_fraction_terms(cfg, (0,) * n, direction))
+
+    heights = tuple(F(h) for h in u)
+    circuit = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    off = [(k, circuit[0]) for k in range(n) if k not in circuit]
+    assert _line_interval(cfg, heights, off, base, direction) == _old_clip(
+        cfg, heights, circuit, base, direction
+    )
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))))
+    diffs = [tuple(order[a:z]) for a, z in zip([0, *cuts], [*cuts, n])]
+    steps = [(lower[0], upper[0]) for lower, upper in zip(diffs, diffs[1:])]
+    assert _line_interval(cfg, heights, steps, base, direction) == _old_chain_order(
+        cfg, heights, diffs, base, direction
+    )
+
+
+def test_shifted_heights_rejects_a_point_not_in_3d():
+    with pytest.raises(ValueError, match="3-dimensional"):
+        shifted_heights(EX_THOMAS, U_EX_THOMAS, (1, 0))
 
 
 def test_classify_quadrangle_example():

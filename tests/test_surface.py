@@ -134,6 +134,14 @@ def test_eval_is_max_of_terms(p):
     assert len(argmax) >= 1
 
 
+@pytest.mark.parametrize("p", [(1, 2), (1, 2, 3, 4), ()])
+def test_tropical_eval_rejects_a_point_not_in_3d(p):
+    # a check that does not vanish under `python -O`: zip would cut the
+    # terms short and answer for the wrong point
+    with pytest.raises(ValueError, match="3-dimensional"):
+        tropical_eval(EX_THOMAS, U_EX_THOMAS, p)
+
+
 @settings(max_examples=30)
 @given(st.tuples(*[st.integers(-4, 4) for _ in range(7)]))
 def test_duality_orthogonality(u):
