@@ -3,7 +3,9 @@
 Hulls are found by beneath-beyond insertion on integers: each coordinate is
 scaled by the lcm of its denominators, each simplicial facet's normal is the
 cofactor vector of its integer difference rows, and visibility and
-incidence are decided by integer dot products.  Lattice points come from a
+incidence are decided by integer dot products.  A full-dimensional hull
+also lists which facets meet in a ridge: the regular subdivision reads each
+cell's 2-faces off these ridges of its lifted hull.  Lattice points come from a
 bounding-box scan with exact half-space tests.  Everything is integer or
 `Fraction` arithmetic; nothing in this module ever rounds.
 """
@@ -39,8 +41,10 @@ LatticePoint = tuple[int, ...]
 
 
 def as_lattice_point(p: Sequence) -> LatticePoint:
+    """The point as a tuple of ints; ``ValueError`` if a coordinate is not integral."""
     q = tuple(int(x) for x in p)
-    assert all(Fraction(x) == q[i] for i, x in enumerate(p)), f"non-integral point {tuple(p)}"
+    if any(Fraction(x) != q[i] for i, x in enumerate(p)):
+        raise ValueError(f"non-integral point {tuple(p)}")
     return q
 
 
@@ -48,8 +52,8 @@ def affine_dim(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine span of a point set."""
     if len(points) <= 1:
         return 0
-    base = vec(points[0])
-    return rank(mat([vec_sub(vec(p), base) for p in points[1:]]))
+    base = points[0]
+    return rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +89,27 @@ class Hull:
     facets: tuple[Facet, ...]
     span_base: Vector
     span_basis: tuple[Vector, ...]
+    # index pairs (i < j) of facets meeting in a ridge; full-dimensional hulls only
+    adjacent: tuple[tuple[int, int], ...] = ()
 
     def vertex_indices(self, points: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
-        """Indices of input points that are vertices of the hull (full-dim only).
-
-        The facets through a vertex meet in it alone (and its copies); those
-        through any other point meet in a face that holds a second vertex.
-        """
+        """Indices of input points that are vertices of the hull (full-dim only)."""
         assert self.dim == self.ambient, "vertex_indices needs a full-dimensional hull"
-        out = []
-        for i, p in enumerate(points):
-            through = [f.incident for f in self.facets if i in f.incident]
-            if through and all(points[j] == p for j in frozenset.intersection(*through)):
-                out.append(i)
-        return tuple(out)
+        return _vertex_indices(points, [f.incident for f in self.facets])
+
+
+def _vertex_indices(points: Sequence[Sequence], faces: Sequence[frozenset[int]]) -> tuple[int, ...]:
+    """Indices of the vertices of a polytope, given the point indices on each facet.
+
+    The facets through a vertex meet in it alone (and its copies); those
+    through any other point meet in a face that holds a second vertex.
+    """
+    out = []
+    for i, p in enumerate(points):
+        through = [f for f in faces if i in f]
+        if through and all(points[j] == p for j in frozenset.intersection(*through)):
+            out.append(i)
+    return tuple(out)
 
 
 def _span_coordinates(points: Sequence[Vector], base: Vector, basis: Sequence[Vector]) -> list[Vector]:
@@ -118,7 +129,8 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     Parameters
     ----------
     points:
-        At least ``ambient_dim + 1`` points with rational coordinates.
+        At least ``ambient_dim`` points with rational coordinates; fewer
+        than ``ambient_dim + 1`` are always degenerate.
     ambient_dim:
         Must match the coordinate length of every point.
 
@@ -137,13 +149,14 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     the facet hyperplanes ``n . q = c`` of the integer points, and one
     integer pass over all points gives each facet's incident set.  A facet
     is reported as ``primitive(D n)`` with a rational offset, the same facet
-    in the input coordinates.
+    in the input coordinates.  Two facets are adjacent when simplices of
+    the two share a ridge of the boundary triangulation.
     """
     assert ambient_dim in (2, 3, 4), f"unsupported ambient dimension {ambient_dim}"
     pts = [vec(p) for p in points]
-    if len(pts) < ambient_dim + 1:
+    if len(pts) < ambient_dim:
         raise ValueError(
-            f"convex_hull needs at least {ambient_dim + 1} points in dimension "
+            f"convex_hull needs at least {ambient_dim} points in dimension "
             f"{ambient_dim}, got {len(pts)}"
         )
     assert all(len(p) == ambient_dim for p in pts), "point/ambient dimension mismatch"
@@ -164,30 +177,39 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     # integer image with the same orientations and incidences.
     scale = [lcm(*(p[i].denominator for p in pts)) for i in range(ambient_dim)]
     qs = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scale)) for p in pts]
-    facets = []
-    for n, c in _beneath_beyond(qs, ambient_dim):
+    simplices = _beneath_beyond(qs, ambient_dim)
+    planes = []
+    for n, c in set(simplices.values()):
         values = [sum(map(mul, n, q)) for q in qs]
         assert max(values) == c, "hull facet does not support every point"
         # n . q <= c  <=>  (D n) . p <= c; primitive(D n) = D n / g
         scaled = [a * s for a, s in zip(n, scale)]
         g = gcd(*scaled)
         incident = frozenset(i for i, v in enumerate(values) if v == c)
-        facets.append(Facet(tuple(x // g for x in scaled), Fraction(c, g), incident))
-    facets.sort(key=lambda f: (f.normal, f.offset))
-    return Hull(
-        ambient=ambient_dim, dim=ambient_dim, facets=tuple(facets), span_base=base, span_basis=()
-    )
+        planes.append((Facet(tuple(x // g for x in scaled), Fraction(c, g), incident), (n, c)))
+    planes.sort(key=lambda fp: (fp[0].normal, fp[0].offset))
+    index = {plane: k for k, (_, plane) in enumerate(planes)}
+    # in the closed triangulated boundary every ridge lies in exactly two simplices
+    ridges: dict[tuple[int, ...], list[int]] = {}
+    for simplex, plane in simplices.items():
+        for ridge in combinations(simplex, ambient_dim - 1):
+            ridges.setdefault(ridge, []).append(index[plane])
+    assert all(len(pair) == 2 for pair in ridges.values()), "boundary is not closed"
+    adjacent = {(min(pair), max(pair)) for pair in ridges.values() if pair[0] != pair[1]}
+    facets = tuple(f for f, _ in planes)
+    return Hull(ambient_dim, ambient_dim, facets, base, (), tuple(sorted(adjacent)))
 
 
-def _beneath_beyond(qs: Sequence[tuple[int, ...]], d: int) -> set[tuple[tuple[int, ...], int]]:
-    """Facets ``n . q = c`` (``n`` primitive) of full-dimensional integer points.
+def _beneath_beyond(qs: Sequence[tuple[int, ...]], d: int) -> dict[tuple[int, ...], tuple]:
+    """Boundary simplices of full-dimensional integer points, with their facets.
 
-    Beneath-beyond (Edelsbrunner 1987, 8.4) on simplicial facets, sorted
-    d-tuples of indices, from the first d + 1 affinely independent points;
-    their sum, d + 1 times a centroid, is interior and orients every normal.
-    The other points are inserted in index order: q sees the facets with
-    ``n . q > c``, and each ridge in exactly one of them spans a new facet
-    with q.  Coplanar simplices share their ``(n, c)``.
+    Each simplex, a sorted d-tuple of indices, maps to the facet ``n . q = c``
+    (``n`` primitive) it lies on.  Beneath-beyond (Edelsbrunner 1987, 8.4)
+    starts from the first d + 1 affinely independent points; their sum,
+    d + 1 times a centroid, is interior and orients every normal.  The other
+    points are inserted in index order: q sees the facets with ``n . q > c``,
+    and each ridge in exactly one of them spans a new simplex with q.
+    Coplanar simplices share their ``(n, c)``.
     """
     start = [0]
     for i in range(1, len(qs)):
@@ -219,7 +241,7 @@ def _beneath_beyond(qs: Sequence[tuple[int, ...]], d: int) -> set[tuple[tuple[in
             if count == 1:
                 simplex = tuple(sorted(ridge + (i,)))
                 facets[simplex] = plane(simplex)
-    return set(facets.values())
+    return facets
 
 
 def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -323,7 +345,8 @@ def lattice_volume(points: Sequence[Sequence[int]]) -> int:
     for f in hull.facets:
         if dot(vec(f.normal), v0) == f.offset:
             continue
-        ordered = _order_facet_cycle([pts[i] for i in sorted(f.incident)], f.normal)
+        face = [pts[i] for i in sorted(f.incident)]
+        ordered = [face[k] for k in _cycle_order(face, f.normal)]
         anchor = vec(ordered[0])
         for i in range(1, len(ordered) - 1):
             d = det3(
@@ -342,7 +365,7 @@ def lattice_area(points: Sequence[Sequence[int]]) -> int:
     hull = convex_hull(pts, 2)
     assert hull.dim == 2, "lattice_area expects a full-dimensional polygon"
     verts = [pts[i] for i in hull.vertex_indices(pts)]
-    ordered = _order_planar_cycle(verts)
+    ordered = [verts[k] for k in _cycle_order(verts)]
     v0 = vec(ordered[0])
     total = Fraction(0)
     for i in range(1, len(ordered) - 1):
@@ -353,41 +376,30 @@ def lattice_area(points: Sequence[Sequence[int]]) -> int:
     return int(total)
 
 
-def _order_planar_cycle(points: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Order coplanar 2D points cyclically around their centroid (exact)."""
-    pts = [vec(p) for p in points]
-    n = len(pts)
-    cx = sum((p[0] for p in pts), Fraction(0)) / n
-    cy = sum((p[1] for p in pts), Fraction(0)) / n
+def _cycle_order(points: Sequence[Sequence], normal: Sequence[int] | None = None) -> list[int]:
+    """Indices of coplanar points in convex-cycle order around their centroid (exact).
 
-    def half(p: Vector) -> int:
-        dx, dy = p[0] - cx, p[1] - cy
+    Points in R^3 are first projected along the axis where ``normal``, a
+    normal of their plane, is largest; points in R^2 are taken as they are.
+    """
+    axis = 2 if normal is None else max(range(3), key=lambda i: abs(normal[i]))
+    keep = [i for i in range(3) if i != axis]
+    flat = [(Fraction(p[keep[0]]), Fraction(p[keep[1]])) for p in points]
+    cx = sum(q[0] for q in flat) / len(flat)
+    cy = sum(q[1] for q in flat) / len(flat)
+
+    def half(q: tuple[Fraction, Fraction]) -> int:
+        dx, dy = q[0] - cx, q[1] - cy
         return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
-    def cmp(a: Vector, b: Vector) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
+    def cmp(i: int, j: int) -> int:
+        hi, hj = half(flat[i]), half(flat[j])
+        if hi != hj:
+            return -1 if hi < hj else 1
+        cross = (flat[i][0] - cx) * (flat[j][1] - cy) - (flat[i][1] - cy) * (flat[j][0] - cx)
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
 
-    return sorted(pts, key=functools.cmp_to_key(cmp))
-
-
-def _order_facet_cycle(points: Sequence[Sequence[Fraction]], normal: Sequence[int]) -> list[Vector]:
-    """Order coplanar 3D points cyclically inside their plane."""
-    pts = [vec(p) for p in points]
-    n = vec(normal)
-    axis = max(range(3), key=lambda i: abs(n[i]))
-    keep = [i for i in range(3) if i != axis]
-    planar = [(p[keep[0]], p[keep[1]]) for p in pts]
-    order = {q: i for i, q in enumerate(planar)}
-    cycled = _order_planar_cycle(planar)
-    return [pts[order[(q[0], q[1])]] for q in cycled]
+    return sorted(range(len(flat)), key=functools.cmp_to_key(cmp))
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,27 @@
 
 A height vector lifts the configuration into R^4; the upper faces of the
 lifted hull (outer normal with positive last coordinate) project to the
-marked cells of the subdivision.  The codimension of the height vector's
-secondary cone is the rank of the stacked per-cell affine-relation spaces.
+marked cells of the subdivision, and each cell's 2-faces are the ridges
+its facet shares with its neighbours.  Affine heights lift to a
+3-dimensional hull, whose facets are the 2-faces of the single cell.  The
+codimension of the height vector's secondary cone is the rank of the
+stacked per-cell affine-relation spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .lattice import (
     CircuitType,
     LatticePoint,
     NotACircuit,
+    _cofactor_normal,
+    _vertex_indices,
     affine_dim,
     as_lattice_point,
     classify_circuit,
@@ -40,7 +47,10 @@ class PointConfig:
     points: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(as_lattice_point(p) for p in self.points)
+        try:
+            pts = tuple(as_lattice_point(p) for p in self.points)
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
             dup = next(p for p in pts if pts.count(p) > 1)
@@ -74,11 +84,12 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class MarkedCell:
-    """One maximal cell: its marked indices, vertex indices and 2-faces."""
+    """One maximal cell, read off an upper facet of the lifted hull and its ridges."""
 
     marked: tuple[int, ...]
     vertices: tuple[int, ...]
-    faces: tuple[tuple[int, ...], ...] = ()  # config indices on each, in hull facet order
+    faces: tuple[tuple[int, ...], ...] = ()  # config indices on each 2-face, by outer normal
+    normals: tuple[tuple[int, ...], ...] = ()  # each face's primitive outer normal in R^3
 
 
 @dataclass(frozen=True)
@@ -102,29 +113,48 @@ def regular_subdivision(cfg: PointConfig, u: Sequence) -> MarkedSubdivision:
     """
     heights = cfg.heights_from(u)
     lifted = [vec(p) + (heights[i],) for i, p in enumerate(cfg.points)]
-    if affine_dim(lifted) < 4:
-        # affine heights: the trivial subdivision, everything marked
-        cells = [_cell(cfg, tuple(range(cfg.size)))]
+    hull = convex_hull(lifted, 4)
+    if hull.dim < 4:
+        # affine heights: the trivial subdivision, everything marked; the
+        # facets of the 3-dimensional lifted hull are its 2-faces
+        cells = [_cell(cfg, tuple(range(cfg.size)), [f.incident for f in hull.facets])]
     else:
-        hull = convex_hull(lifted, 4)
-        cells = sorted(
-            (_cell(cfg, tuple(sorted(f.incident))) for f in hull.facets if f.normal[3] > 0),
-            key=lambda c: c.marked,
-        )
+        ridges: list[list[frozenset[int]]] = [[] for _ in hull.facets]
+        for i, j in hull.adjacent:
+            ridge = hull.facets[i].incident & hull.facets[j].incident
+            ridges[i].append(ridge)
+            ridges[j].append(ridge)
+        upper = [k for k, f in enumerate(hull.facets) if f.normal[3] > 0]
+        cells = [_cell(cfg, tuple(sorted(hull.facets[k].incident)), ridges[k]) for k in upper]
+        cells.sort(key=lambda c: c.marked)
     assert cells, "a regular subdivision has at least one upper cell"
     relations = _stacked_relations(cfg, cells)
     return MarkedSubdivision(tuple(cells), rank(mat(relations)), relations)
 
 
-def _cell(cfg: PointConfig, marked: tuple[int, ...]) -> MarkedCell:
-    """The cell on the marked points, with its vertices and 2-faces from one hull."""
-    pts = [cfg.points[i] for i in marked]
-    hull = convex_hull(pts, 3)
-    assert hull.dim == 3, "maximal cells must be 3-dimensional"
+def _cell(cfg: PointConfig, marked: tuple[int, ...], faces: Sequence[frozenset[int]]) -> MarkedCell:
+    """The cell on the marked points, from the config indices on each of its 2-faces.
+
+    A face's outer normal is the cross product of two of its edge vectors,
+    made primitive and pointed away from a marked point off the face.
+    """
+    oriented = []
+    for face in faces:
+        key = tuple(sorted(face))
+        p0 = cfg.points[key[0]]
+        edges = [[a - b for a, b in zip(cfg.points[i], p0)] for i in key[1:]]
+        n = next(c for c in (_cofactor_normal([edges[0], e]) for e in edges[1:]) if any(c))
+        off = cfg.points[next(i for i in marked if i not in face)]
+        g = gcd(*n)
+        if sum(map(mul, n, off)) > sum(map(mul, n, p0)):
+            g = -g
+        oriented.append((tuple(x // g for x in n), key))
+    oriented.sort()
     return MarkedCell(
         marked=marked,
-        vertices=tuple(marked[i] for i in hull.vertex_indices(pts)),
-        faces=tuple(tuple(sorted(marked[i] for i in f.incident)) for f in hull.facets),
+        vertices=_vertex_indices(cfg.points, faces),
+        faces=tuple(key for _, key in oriented),
+        normals=tuple(n for n, _ in oriented),
     )
 
 

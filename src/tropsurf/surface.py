@@ -4,7 +4,8 @@ The surface is the non-differentiability locus of p -> max_i(u_i + m_i . p).
 Duality: maximal cells of the subdivision give surface vertices, interior
 2-faces give bounded edges, boundary 2-faces give unbounded edges (rays
 along outer normals of the hull), and subdivision edges give 2-cells whose
-weight is the lattice length of the edge.
+weight is the lattice length of the edge.  A boundary 2-face's ray is the
+outer normal its cell carries for it, so no hull is built here.
 
 ``_scaled_terms`` gives each term u_i + m_i . p as an integer numerator
 ``U_i + m_i . P`` over one common denominator ``D`` (``U = D * u``,
@@ -14,14 +15,14 @@ intervals compare these, and build a ``Fraction`` only for a result.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .lattice import LatticePoint, convex_hull, segment_lattice_count
+from .lattice import LatticePoint, _cycle_order, segment_lattice_count
 from .linalg import (
     AffineSolution,
     Vector,
@@ -128,29 +129,29 @@ def build_complex(
         )
         vertices.append(SurfaceVertex(cell=cell.marked, location=loc))
 
-    # 2-faces of maximal cells, keyed by the config indices lying on them
-    cell_faces: dict[tuple[int, ...], list[int]] = {}
+    # 2-faces of maximal cells, keyed by the config indices lying on them,
+    # with each cell's outer normal of the face
+    cell_faces: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for ci, cell in enumerate(t.cells):
-        for key in cell.faces:
-            cell_faces.setdefault(key, []).append(ci)
-
-    delta = convex_hull(cfg.points, 3)
+        for key, normal in zip(cell.faces, cell.normals):
+            cell_faces.setdefault(key, []).append((ci, normal))
 
     edges = []
     boundary_ray: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     for key, cells in sorted(cell_faces.items()):
         if len(cells) == 2:
-            edges.append(SurfaceEdge(dual_face=key, endpoints=(cells[0], cells[1])))
+            edges.append(SurfaceEdge(dual_face=key, endpoints=(cells[0][0], cells[1][0])))
             continue
         assert len(cells) == 1, f"2-face {key} shared by {len(cells)} cells"
-        ray = None
-        for facet in delta.facets:
-            if set(key) <= facet.incident:
-                ray = facet.normal
-                break
-        assert ray is not None, f"boundary 2-face {key} lies on no hull facet"
-        boundary_ray[key] = (cells[0], ray)
-        edges.append(SurfaceEdge(dual_face=key, endpoints=(cells[0],), ray=ray))
+        # a boundary 2-face lies on the facet of the configuration's hull
+        # with the same primitive outer normal, and that normal is its ray
+        ci, ray = cells[0]
+        offset = sum(map(mul, ray, cfg.points[key[0]]))
+        assert all(sum(map(mul, ray, p)) <= offset for p in cfg.points), (
+            f"boundary 2-face {key} lies on no hull facet"
+        )
+        boundary_ray[key] = (ci, ray)
+        edges.append(SurfaceEdge(dual_face=key, endpoints=(ci,), ray=ray))
 
     # subdivision edges: intersections of two 2-faces of one cell
     edge_cells: dict[tuple[int, ...], set[int]] = {}
@@ -221,35 +222,6 @@ def _clip_ray(base: Vector, direction: tuple[int, ...], bound: Fraction) -> Vect
     if t_max is None or t_max < 1:
         t_max = Fraction(1)
     return tuple(base[i] + t_max * Fraction(direction[i]) for i in range(3))
-
-
-def _cycle_order(points: Sequence[Vector], normal: Vector) -> list[int]:
-    """Indices of coplanar points in convex-cycle order around their centroid."""
-    axis = max(range(3), key=lambda i: abs(normal[i]))
-    keep = [i for i in range(3) if i != axis]
-    flat = [(p[keep[0]], p[keep[1]]) for p in points]
-    n = len(flat)
-    cx = sum(q[0] for q in flat) / n
-    cy = sum(q[1] for q in flat) / n
-
-    def half(q: tuple[Fraction, Fraction]) -> int:
-        dx, dy = q[0] - cx, q[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(i: int, j: int) -> int:
-        hi, hj = half(flat[i]), half(flat[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        ax, ay = flat[i][0] - cx, flat[i][1] - cy
-        bx, by = flat[j][0] - cx, flat[j][1] - cy
-        cross = ax * by - ay * bx
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(range(n), key=functools.cmp_to_key(cmp))
 
 
 def render_off(

@@ -303,8 +303,10 @@ def test_internal_error_exit_3(capsys, monkeypatch):
 # 16) before beneath-beyond replaced the exhaustive hull search; their
 # certificates and renders, and `saturated_n12_shifted` (the n = 12 heights
 # plus the lineality shift of x = (1/3, -2/5, 1/7), so rational heights),
-# before the terms u_i + m_i . p were evaluated on integers.  Refactors must
-# leave these bytes unchanged.
+# before the terms u_i + m_i . p were evaluated on integers;
+# `saturated_n12_flat` (the n = 12 points at height 0: the trivial
+# subdivision) before the cells were read off the lifted hull's ridges.
+# Refactors must leave these bytes unchanged.
 GOLDEN = [
     ("codim2_family", ("subdivide",), 0, "a42a4fd8042fdc42eb0c759f2be8140ff68607d9a1b350391d47e30f386821e0"),
     ("codim2_family", ("surface",), 0, "331621836c18a30fb3ac6164525c0a1d560033deb7a2655c9eb580e3fcf05151"),
@@ -338,6 +340,9 @@ GOLDEN = [
     ("saturated_n12_shifted", ("surface",), 0, "cfed39df591053f6c13224293be5e52bfa2f701d7eac29ad2527179f75557cee"),
     ("saturated_n12_shifted", ("singular", "--certificate"), 0, "a891db61c0de95bd83bf75e5ef265a1b40358fe393d037a84b5f2e5065048543"),
     ("saturated_n12_shifted", ("render",), 0, "3b2b37425a86520026ee4e3e0e434a259e2864687c69c1baf7228fe4199ba054"),
+    ("saturated_n12_flat", ("subdivide",), 0, "5e6ddb3f8c8da4b9e23c5fb76fd2a02e7dc8c2ad9b1a59920d4c069bb4c52712"),
+    ("saturated_n12_flat", ("surface",), 0, "5265be80d1063ed101cfdba2dfce697e2a3c2235bdaabf0275138381d2822743"),
+    ("saturated_n12_flat", ("render",), 0, "4aa2862ffeacb07758221a97b5d7359a03dc477549773f1eb3d1374082085aaa"),
 ]
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,8 @@ from tests.frozen import (
     WORKED,
     worked_heights,
 )
+from tests.test_lattice import reference_hull, reference_vertices
+from tropsurf import lattice, subdivision, surface
 from tropsurf.jsonio import load_input_file
 from tropsurf.lattice import CircuitType, convex_hull, lattice_volume
 from tropsurf.subdivision import (
@@ -143,11 +149,36 @@ def test_maximal_dimensional_type_needs_all_hull_lattice_points():
         ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # coplanar
         ((0, 0, 0), (1, 0, 0), (0, 1, 0)),  # too few
         ((0, 0), (1, 0), (0, 1), (1, 1)),  # wrong dimension
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, F(3, 2))),  # not a lattice point
     ],
 )
 def test_invalid_config_rejected(points):
     with pytest.raises(InvalidConfig):
         PointConfig(points=points)
+
+
+def test_non_integral_point_rejected_under_python_O():
+    """The lattice-point check raises, not asserts, so ``-O`` keeps it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = """
+from fractions import Fraction
+from tropsurf.lattice import as_lattice_point
+from tropsurf.subdivision import InvalidConfig, PointConfig
+try:
+    as_lattice_point((0, 0, Fraction(3, 2)))
+except ValueError:
+    print("point")
+try:
+    PointConfig(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, Fraction(3, 2))))
+except InvalidConfig:
+    print("config")
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["point", "config"]
 
 
 def test_wrong_height_length_rejected():
@@ -204,3 +235,99 @@ def test_cell_faces_and_vertices_match_a_fresh_hull(cfg, u):
         assert cell.faces == tuple(
             tuple(sorted(cell.marked[i] for i in f.incident)) for f in hull.facets
         )
+
+
+@st.composite
+def lifted_box_configs(draw):
+    """Distinct points of {0,1,2}^3 spanning 3 dimensions, with heights.
+
+    Heights are all zero, affine (the trivial subdivision), or drawn from a
+    short range of integers or rationals, which makes many lifted points
+    coplanar.
+    """
+    box = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    pts = draw(st.lists(st.sampled_from(box), min_size=4, max_size=10, unique=True).filter(_spans_3d))
+    kind = draw(st.sampled_from(["zero", "affine", "integer", "rational"]))
+    if kind == "zero":
+        u = [0] * len(pts)
+    elif kind == "affine":
+        c = F(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        lin = [F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(3)]
+        u = [c + sum(a * x for a, x in zip(lin, p)) for p in pts]
+    else:
+        dens = st.sampled_from([1, 2, 3]) if kind == "rational" else st.just(1)
+        u = [F(draw(st.integers(-3, 3)), draw(dens)) for _ in pts]
+    return PointConfig(points=tuple(pts)), u
+
+
+def _spans_3d(pts):
+    """Whether some three difference vectors have a nonzero determinant."""
+    rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    for a, b, c in combinations(rows, 3):
+        if a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0]) + a[2] * (
+            b[0] * c[1] - b[1] * c[0]
+        ):
+            return True
+    return False
+
+
+@settings(max_examples=50, deadline=None)
+@given(lifted_box_configs())
+def test_cells_match_reference_hulls(case):
+    # the reference hulls share no tropsurf code: the lifted one gives the
+    # marked sets, and one per cell its faces, normals and vertices
+    cfg, u = case
+    lifted = [p + (F(h),) for p, h in zip(cfg.points, u)]
+    dim, upper = reference_hull(lifted, 4)
+    if dim < 4:
+        marked = [tuple(range(cfg.size))]
+    else:
+        marked = sorted(tuple(sorted(inc)) for n, c, inc in upper if n[3] > 0)
+    cells = regular_subdivision(cfg, u).cells
+    assert [c.marked for c in cells] == marked
+    for cell in cells:
+        pts = [cfg.points[i] for i in cell.marked]
+        _, facets = reference_hull(pts, 3)
+        assert cell.faces == tuple(tuple(sorted(cell.marked[i] for i in inc)) for _, _, inc in facets)
+        assert cell.normals == tuple(n for n, _, _ in facets)
+        assert cell.vertices == tuple(cell.marked[i] for i in reference_vertices(pts, facets))
+
+
+def _count_hulls(monkeypatch) -> list:
+    """Outermost `convex_hull` calls from any tropsurf module, by ambient dimension."""
+    calls: list = []
+    depth = [0]
+    original = lattice.convex_hull
+
+    def counted(points, ambient_dim):
+        if depth[0] == 0:
+            calls.append(ambient_dim)
+        depth[0] += 1
+        try:
+            return original(points, ambient_dim)
+        finally:
+            depth[0] -= 1
+
+    for module in (lattice, subdivision, surface):
+        monkeypatch.setattr(module, "convex_hull", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cfg, u, trivial",
+    [
+        (SIMPLEX, (0, 0, 0, 0), True),
+        (EX_THOMAS, [3 * x - y + 2 * z - 1 for x, y, z in EX_THOMAS.points], True),
+        (EX_THOMAS, U_EX_THOMAS, False),
+        (CODIM2, U_CODIM2, False),
+        load_input_file(str(INPUTS / "saturated_n12.json")) + (False,),
+        load_input_file(str(INPUTS / "saturated_n12_flat.json")) + (True,),
+    ],
+)
+def test_one_hull_per_subdivision_and_none_in_build_complex(monkeypatch, cfg, u, trivial):
+    calls = _count_hulls(monkeypatch)
+    t = regular_subdivision(cfg, u)
+    assert (len(t.cells) == 1) is trivial
+    assert calls == [4]
+    surface.build_complex(cfg, u, subdivision=t)
+    assert calls == [4]
