@@ -13,6 +13,9 @@ Four catalogs back the classifier's labels:
 
 Catalog data is deliberately literal; the test suite re-derives every claimed
 invariant (interior points, volumes, liftability) from lattice geometry.
+
+`normalize` tries orderings of the input against a representative; each
+try is one `_map_onto`, and the loop order decides which map is returned.
 """
 
 from __future__ import annotations
@@ -24,17 +27,16 @@ from math import gcd
 from typing import Sequence
 
 from .lattice import (
+    CircuitType,
     LatticePoint,
     UnimodularMap,
     as_lattice_point,
     classify_circuit,
     identity_map,
-    CircuitType,
     interior_lattice_points,
     radon_partition,
-    segment_lattice_count,
 )
-from .linalg import _gauss_jordan, determinant, mat
+from .linalg import _gauss_jordan, det3
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +288,31 @@ class NoMatch:
     reason: str
 
 
-def _integral_inverse_times(targets: Sequence[LatticePoint], sources: Sequence[LatticePoint]):
-    """Integer matrix M with M @ sources[i] = targets[i], or None.
+def _map_onto(sources: Sequence, targets: Sequence) -> UnimodularMap | None:
+    """The unimodular map sending each ``sources[k]`` to ``targets[k]``, or None.
 
-    Both lists are difference vectors (same length d = their dimension);
-    M = T V^{-1} must be integral with |det| = 1.  |det M| = 1 exactly when
-    |det T| = |det V|, which is tested first.  M^T then solves
-    V^T X = T^T: one elimination of the rows [sources[k] | targets[k]].
+    Both lists hold n + 1 points in Z^n.  The matrix M has
+    ``M (s_k - s_0) = t_k - t_0``, so M^T solves ``V X = T`` for the
+    difference rows V and T: one elimination of the rows
+    ``[s_k - s_0 | t_k - t_0]``.
+    The map exists when V is nonsingular (its columns take the first n
+    pivots), M is integral and |det M| = 1; its shift is ``t_0 - M s_0``.
     """
-    dv = determinant(mat(sources))
-    if dv == 0 or abs(dv) != abs(determinant(mat(targets))):
+    n = len(sources) - 1
+    s0, t0 = sources[0], targets[0]
+    rows = [
+        [a - b for a, b in zip(s, s0)] + [a - b for a, b in zip(t, t0)]
+        for s, t in zip(sources[1:], targets[1:])
+    ]
+    pivots, d, reduced, _ = _gauss_jordan(rows)
+    if pivots != list(range(n)) or any(x % d for row in reduced for x in row[n:]):
         return None
-    n = len(sources)
-    _, d, rows, _ = _gauss_jordan([[*s, *t] for s, t in zip(sources, targets)])
-    if any(x % d for row in rows for x in row[n:]):
+    m = tuple(tuple(reduced[r][n + i] // d for r in range(n)) for i in range(n))
+    shift = tuple(t - sum(a * x for a, x in zip(row, s0)) for row, t in zip(m, t0))
+    try:
+        return UnimodularMap(matrix=m, shift=shift)
+    except ValueError:  # |det M| != 1
         return None
-    return tuple(tuple(rows[r][n + i] // d for r in range(n)) for i in range(n))
 
 
 def normalize(points: Sequence[Sequence[int]], target: str) -> NormalizedForm | NoMatch:
@@ -350,20 +361,17 @@ def _normalize_a1(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
                 params={"p": apex[1], "q": apex[2]},
             )
     best: tuple[int, int, UnimodularMap] | None = None
-    targets = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for apex_i in range(5):
         rest = [p for j, p in enumerate(pts) if j != apex_i]
         for perm in permutations(rest):
-            sources = [_sub(perm[k], perm[0]) for k in (1, 2, 3)]
-            m = _integral_inverse_times(targets, sources)
-            if m is None:
+            umap = _map_onto(perm, _A1.base)
+            if umap is None:
                 continue
-            shift = tuple(-x for x in _apply(m, perm[0]))
-            img = _add(_apply(m, pts[apex_i]), shift)
+            img = umap.apply(pts[apex_i])
             if img[0] != 1 or img[1] < 1 or img[2] < 1 or gcd(img[1], img[2]) != 1:
                 continue
             if best is None or (img[1], img[2]) < best[:2]:
-                best = (img[1], img[2], UnimodularMap(matrix=m, shift=shift))
+                best = (img[1], img[2], umap)
     if best is None:
         return NoMatch("a1", "no unimodular map onto the pentatope family")
     p, q, umap = best
@@ -384,7 +392,7 @@ def _normalize_a2(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
         pts = [p for j, p in enumerate(pts) if j != interior_idx]
     if len(pts) != 4:
         return NoMatch("a2", f"expected 4 or 5 points, got {len(pts)}")
-    vol = abs(determinant(mat([_sub(pts[i], pts[0]) for i in (1, 2, 3)])))
+    vol = abs(det3(*([a - b for a, b in zip(p, pts[0])] for p in pts[1:])))
     entry = next((e for e in catalogs().a2 if e.volume == vol), None)
     if entry is None:
         return NoMatch("a2", f"normalized volume {vol} not in the catalog")
@@ -398,16 +406,12 @@ def _normalize_a2(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
                 points=entry.vertices,
                 params={"volume": entry.volume},
             )
-    targets = ((1, 0, 0), (0, 1, 0), entry.apex)
     for base_i in range(4):
         rest = [p for j, p in enumerate(pts) if j != base_i]
         for perm in permutations(rest):
-            sources = [_sub(p, pts[base_i]) for p in perm]
-            m = _integral_inverse_times(targets, sources)
-            if m is None:
+            umap = _map_onto((pts[base_i], *perm), entry.vertices)
+            if umap is None:
                 continue
-            shift = tuple(-x for x in _apply(m, pts[base_i]))
-            umap = UnimodularMap(matrix=m, shift=shift)
             if interior is not None and umap.apply(interior) != entry.interior_point:
                 continue
             return NormalizedForm(
@@ -429,29 +433,8 @@ def _normalize_triangles(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
                     target=entry.id, map=identity_map(2), points=entry.vertices
                 )
     for entry in catalogs().triangles:
-        t0 = entry.vertices[0]
-        targets = [_sub(entry.vertices[k], t0) for k in (1, 2)]
         for perm in permutations(pts):
-            sources = [_sub(perm[k], perm[0]) for k in (1, 2)]
-            m = _integral_inverse_times(targets, sources)
-            if m is None:
-                continue
-            shift = _sub(t0, _apply(m, perm[0]))
-            return NormalizedForm(
-                target=entry.id,
-                map=UnimodularMap(matrix=m, shift=shift),
-                points=entry.vertices,
-            )
+            umap = _map_onto(perm, entry.vertices)
+            if umap is not None:
+                return NormalizedForm(target=entry.id, map=umap, points=entry.vertices)
     return NoMatch("triangles", "not equivalent to any of T1..T5")
-
-
-def _sub(a: Sequence[int], b: Sequence[int]) -> LatticePoint:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add(a: Sequence[int], b: Sequence[int]) -> LatticePoint:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _apply(m: Sequence[Sequence[int]], p: Sequence[int]) -> LatticePoint:
-    return tuple(sum(m[i][j] * p[j] for j in range(len(p))) for i in range(len(m)))

@@ -9,7 +9,9 @@ edge, trapeze, barycenter), and refuses non-generic inputs.
 
 Lineality shifts, the closed-cell test and `_line_interval` (the t-interval
 of a line on which given height pairs stay ordered) read the terms
-u_i + m_i . p as integer numerators from `surface._scaled_terms`.
+u_i + m_i . p as integer numerators from `surface._scaled_terms`.  Apex
+heights and distances along the edge dual to a planar circuit are read off
+the circuit plane's normal, `lattice._plane_normal`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .catalogs import NoMatch, normalize
-from .lattice import CircuitType, LatticePoint, radon_partition
+from .lattice import CircuitType, LatticePoint, _plane_normal, radon_partition
 from .linalg import (
-    AffineSolution,
     Infeasible,
     Matrix,
     Vector,
@@ -246,12 +247,12 @@ class SingularPoint:
 @dataclass(frozen=True)
 class SingularityReport:
     codim: int
-    max_dimensional: bool | None
-    generic: bool | None
-    circuit: Circuit | None
-    points: tuple[SingularPoint, ...]
-    refusals: tuple[Refusal, ...]
-    notes: tuple[str, ...]
+    max_dimensional: bool | None = None
+    generic: bool | None = None
+    circuit: Circuit | None = None
+    points: tuple[SingularPoint, ...] = ()
+    refusals: tuple[Refusal, ...] = ()
+    notes: tuple[str, ...] = ()
 
     @property
     def refused(self) -> bool:
@@ -274,27 +275,18 @@ def classify(
     if codim != 1:
         return SingularityReport(
             codim=codim,
-            max_dimensional=None,
-            generic=None,
-            circuit=None,
-            points=(),
             refusals=(Refusal(reason="subdivision is not of codimension 1", detail={"codim": codim}),),
-            notes=(),
         )
     if not is_maximal_dimensional_type(cfg, t):
         return SingularityReport(
             codim=codim,
             max_dimensional=False,
-            generic=None,
-            circuit=None,
-            points=(),
             refusals=(
                 Refusal(
                     reason="configuration is not of maximal-dimensional type",
                     detail=_maxdim_detail(cfg, t),
                 ),
             ),
-            notes=(),
         )
     circuit = extract_circuit(cfg, t)
     assert isinstance(circuit, Circuit)
@@ -307,8 +299,6 @@ def classify(
             max_dimensional=True,
             generic=True,
             circuit=circuit,
-            points=(),
-            refusals=(),
             notes=(
                 f"point {loop} lies in no affine relation; the surface has no singular points",
             ),
@@ -324,7 +314,6 @@ def classify(
                 max_dimensional=True,
                 generic=False,
                 circuit=circuit,
-                points=(),
                 refusals=(
                     Refusal(
                         reason="heights are not generic: a positive-dimensional family of singular points",
@@ -335,7 +324,6 @@ def classify(
                         },
                     ),
                 ),
-                notes=tuple(notes),
             )
         for p in isolated:
             merged.setdefault(p, set()).add(fam.route)
@@ -362,7 +350,6 @@ def classify(
                 max_dimensional=True,
                 generic=False,
                 circuit=circuit,
-                points=(),
                 refusals=(
                     Refusal(
                         reason="heights are not generic: the singular flag is defective",
@@ -391,7 +378,6 @@ def classify(
         generic=True,
         circuit=circuit,
         points=tuple(points),
-        refusals=(),
         notes=tuple(notes),
     )
 
@@ -509,32 +495,13 @@ def _label_tetrahedron(cfg: PointConfig, circuit: Circuit) -> tuple[str, dict]:
     radon = radon_partition(pts)
     small = radon.positive if len(radon.positive) == 1 else radon.negative
     interior = circuit.indices[next(iter(small))]
-    outer = [cfg.points[i] for i in circuit.indices if i != interior]
-    a, bb, c, d = (vec(q) for q in outer)
-    mult = abs(int(det3(vec_sub(bb, a), vec_sub(c, a), vec_sub(d, a))))
+    a, *outer = (cfg.points[i] for i in circuit.indices if i != interior)
+    mult = abs(det3(*([x - y for x, y in zip(q, a)] for q in outer)))
     metric: dict = {"circuit": circuit.indices, "multiplicity": mult, "interior_point": interior}
     res = normalize(pts, "a2")
     if not isinstance(res, NoMatch):
         metric["catalog"] = res.target
     return f"a2({mult})", metric
-
-
-def _circuit_cells(t: MarkedSubdivision, circuit: Circuit) -> list:
-    return [cell for cell in t.cells if set(circuit.indices) <= set(cell.marked)]
-
-
-def _plane_data(cfg: PointConfig, circuit: Circuit) -> tuple[Vector, Vector]:
-    pts = [vec(cfg.points[i]) for i in circuit.indices]
-    base = pts[0]
-    for d1, d2 in combinations([vec_sub(p, base) for p in pts[1:]], 2):
-        n = (
-            d1[1] * d2[2] - d1[2] * d2[1],
-            d1[2] * d2[0] - d1[0] * d2[2],
-            d1[0] * d2[1] - d1[1] * d2[0],
-        )
-        if any(x != 0 for x in n):
-            return primitive(n), base
-    raise AssertionError("circuit does not span a plane")
 
 
 def _label_edge_point(
@@ -546,15 +513,15 @@ def _label_edge_point(
     notes: list[str],
 ) -> tuple[str, dict]:
     """Labels for singular points on the edge dual to a planar circuit."""
-    normal, base = _plane_data(cfg, circuit)
-    cells = _circuit_cells(t, circuit)
+    normal = _plane_normal([cfg.points[i] for i in circuit.indices])
+    base = cfg.points[circuit.indices[0]]
     sides = []
-    for cell in cells:
+    for cell in (c for c in t.cells if set(circuit.indices) <= set(c.marked)):
         extra = [i for i in cell.marked if i not in circuit.indices]
         assert len(extra) == 1, "cells over a planar circuit are single-apex pyramids"
         apex = extra[0]
         v = dual_vertex(cfg, u, cell.marked)
-        h = sum(n * (Fraction(q) - bse) for n, q, bse in zip(normal, cfg.points[apex], base))
+        h = Fraction(sum(n * (q - b) for n, q, b in zip(normal, cfg.points[apex], base)))
         sides.append({"apex": apex, "vertex": v, "height": h})
     bounded = len(sides) == 2
     metric: dict = {
@@ -578,7 +545,7 @@ def _label_edge_point(
         )
 
     if not bounded:
-        metric["distance_from_vertex"] = _edge_distance(cfg, circuit, sides[0]["vertex"], cand.point)
+        metric["distance_from_vertex"] = _edge_distance(normal, sides[0]["vertex"], cand.point)
         return "b12", metric
 
     pair_routes = [idxs for kind, idxs in cand.routes if kind == "pair"]
@@ -603,9 +570,7 @@ def _label_edge_point(
                 rank_label = (0, "b11(ratio-3:1)")
         elif _formula_pair(cfg, normal, base, sides, pr):
             side = next(s for s in sides if s["apex"] in pr)
-            metric["distance_from_vertex"] = _edge_distance(
-                cfg, circuit, side["vertex"], cand.point
-            )
+            metric["distance_from_vertex"] = _edge_distance(normal, side["vertex"], cand.point)
             metric["formula_vertex"] = side["vertex"]
             rank_label = (1, "b11(formula)")
         else:
@@ -617,18 +582,18 @@ def _label_edge_point(
         notes.append(f"point {cand.point}: no coincidence pair among routes {cand.routes}")
     if best[1] == "b11(other)":
         metric["distances"] = tuple(
-            _edge_distance(cfg, circuit, s["vertex"], cand.point) for s in sides
+            _edge_distance(normal, s["vertex"], cand.point) for s in sides
         )
     return best[1], metric
 
 
 def _formula_pair(
-    cfg: PointConfig, normal: Vector, base: Vector, sides: list, pair: tuple[int, ...]
+    cfg: PointConfig, normal: LatticePoint, base: LatticePoint, sides: list, pair: tuple[int, ...]
 ) -> bool:
     """Same-side pair {height-1 point, height-3 apex} of a pyramid side."""
     heights = {}
     for i in pair:
-        heights[i] = sum(n * (Fraction(q) - b) for n, q, b in zip(normal, cfg.points[i], base))
+        heights[i] = sum(n * (q - b) for n, q, b in zip(normal, cfg.points[i], base))
     h1, h2 = (heights[i] for i in pair)
     if h1 == 0 or h2 == 0 or (h1 > 0) != (h2 > 0):
         return False
@@ -640,20 +605,13 @@ def _formula_pair(
     return side is not None and deep == side["apex"]
 
 
-def _edge_distance(cfg: PointConfig, circuit: Circuit, vertex: Vector, p: Vector) -> Fraction:
-    """Lattice distance from an edge vertex to p along the dual edge."""
-    direction = _edge_direction(cfg, circuit)
+def _edge_distance(direction: LatticePoint, vertex: Vector, p: Vector) -> Fraction:
+    """Lattice distance from an edge vertex to p along the primitive edge direction."""
     delta = vec_sub(p, vertex)
     for i in range(3):
         if direction[i] != 0:
             return abs(delta[i] / direction[i])
     raise AssertionError("edge direction cannot vanish")
-
-
-def _edge_direction(cfg: PointConfig, circuit: Circuit) -> Vector:
-    """Primitive direction of the edge dual to a planar circuit."""
-    normal, _ = _plane_data(cfg, circuit)
-    return primitive(normal)
 
 
 def _label_polygon_point(

@@ -5,9 +5,9 @@ scaled by the lcm of its denominators, each simplicial facet's normal is the
 cofactor vector of its integer difference rows, and visibility and
 incidence are decided by integer dot products.  A full-dimensional hull
 also lists which facets meet in a ridge: the regular subdivision reads each
-cell's 2-faces off these ridges of its lifted hull.  Lattice points come from a
-bounding-box scan with exact half-space tests.  Everything is integer or
-`Fraction` arithmetic; nothing in this module ever rounds.
+cell's 2-faces off these ridges of its lifted hull.  `_plane_normal` is the
+one normal of a circuit plane, for the chain shapes and the edge labels.
+Everything is integer or `Fraction` arithmetic; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from typing import Sequence
 
 from .linalg import (
     AffineSolution,
-    Matrix,
     Vector,
+    _gauss_jordan,
     det2,
     det3,
-    determinant,
-    dot,
     kernel_basis,
     mat,
     rank,
@@ -153,31 +151,32 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     the two share a ridge of the boundary triangulation.
     """
     assert ambient_dim in (2, 3, 4), f"unsupported ambient dimension {ambient_dim}"
-    pts = [vec(p) for p in points]
-    if len(pts) < ambient_dim:
+    if len(points) < ambient_dim:
         raise ValueError(
             f"convex_hull needs at least {ambient_dim} points in dimension "
-            f"{ambient_dim}, got {len(pts)}"
+            f"{ambient_dim}, got {len(points)}"
         )
-    assert all(len(p) == ambient_dim for p in pts), "point/ambient dimension mismatch"
-
-    base = pts[0]
-    diffs = mat([vec_sub(p, base) for p in pts[1:]])
-    dim = rank(diffs)
-    if dim < ambient_dim:
-        basis = _independent_rows(diffs, dim)
-        local = _span_coordinates(pts, base, basis)
-        if dim <= 1:
-            inner: tuple[Facet, ...] = ()
-        else:
-            inner = convex_hull(local, dim).facets
-        return Hull(ambient=ambient_dim, dim=dim, facets=inner, span_base=base, span_basis=basis)
+    assert all(len(p) == ambient_dim for p in points), "point/ambient dimension mismatch"
 
     # q = D p with D = diag(lcm of each coordinate's denominators) > 0: an
     # integer image with the same orientations and incidences.
-    scale = [lcm(*(p[i].denominator for p in pts)) for i in range(ambient_dim)]
-    qs = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scale)) for p in pts]
-    simplices = _beneath_beyond(qs, ambient_dim)
+    scale = [lcm(*(p[i].denominator for p in points)) for i in range(ambient_dim)]
+    qs = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scale)) for p in points]
+    start = [0]
+    for i in range(1, len(qs)):
+        rows = [[a - b for a, b in zip(qs[j], qs[0])] for j in start[1:] + [i]]
+        if len(start) <= ambient_dim and rank(rows) == len(rows):
+            start.append(i)
+    base = vec(points[0])
+    dim = len(start) - 1
+    if dim < ambient_dim:
+        # D keeps independence, so the start set's differences span the input
+        basis = tuple(vec_sub(vec(points[j]), base) for j in start[1:])
+        local = _span_coordinates([vec(p) for p in points], base, basis)
+        inner = convex_hull(local, dim).facets if dim > 1 else ()
+        return Hull(ambient=ambient_dim, dim=dim, facets=inner, span_base=base, span_basis=basis)
+
+    simplices = _beneath_beyond(qs, start)
     planes = []
     for n, c in set(simplices.values()):
         values = [sum(map(mul, n, q)) for q in qs]
@@ -200,22 +199,18 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     return Hull(ambient_dim, ambient_dim, facets, base, (), tuple(sorted(adjacent)))
 
 
-def _beneath_beyond(qs: Sequence[tuple[int, ...]], d: int) -> dict[tuple[int, ...], tuple]:
+def _beneath_beyond(qs: Sequence[tuple[int, ...]], start: list[int]) -> dict[tuple[int, ...], tuple]:
     """Boundary simplices of full-dimensional integer points, with their facets.
 
     Each simplex, a sorted d-tuple of indices, maps to the facet ``n . q = c``
     (``n`` primitive) it lies on.  Beneath-beyond (Edelsbrunner 1987, 8.4)
-    starts from the first d + 1 affinely independent points; their sum,
-    d + 1 times a centroid, is interior and orients every normal.  The other
-    points are inserted in index order: q sees the facets with ``n . q > c``,
-    and each ridge in exactly one of them spans a new simplex with q.
-    Coplanar simplices share their ``(n, c)``.
+    starts from ``start``, the first d + 1 affinely independent points; their
+    sum, d + 1 times a centroid, is interior and orients every normal.  The
+    other points are inserted in index order: q sees the facets with
+    ``n . q > c``, and each ridge in exactly one of them spans a new simplex
+    with q.  Coplanar simplices share their ``(n, c)``.
     """
-    start = [0]
-    for i in range(1, len(qs)):
-        rows = [[a - b for a, b in zip(qs[j], qs[0])] for j in start[1:] + [i]]
-        if len(start) <= d and rank(rows) == len(rows):
-            start.append(i)
+    d = len(start) - 1
     inner = [sum(qs[i][k] for i in start) for k in range(d)]
 
     def plane(simplex: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -260,14 +255,20 @@ def _cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(m if j % 2 == 0 else -m for j, m in enumerate(minors))
 
 
-def _independent_rows(m: Matrix, target: int) -> tuple[Vector, ...]:
-    rows: list[Vector] = []
-    for r in m:
-        if rank(mat(rows + [r])) > len(rows):
-            rows.append(r)
-        if len(rows) == target:
-            break
-    return tuple(rows)
+def _plane_normal(points: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Primitive normal of the plane through coplanar lattice points in Z^3.
+
+    The first nonzero cross product ``(p_i - p_0) x (p_j - p_0)``, i < j, in
+    `combinations` order, divided by the gcd of its entries.
+    """
+    p0 = points[0]
+    diffs = [[a - b for a, b in zip(p, p0)] for p in points[1:]]
+    for d1, d2 in combinations(diffs, 2):
+        n = _cofactor_normal([d1, d2])
+        if any(n):
+            g = gcd(*n)
+            return tuple(x // g for x in n)
+    raise ValueError("points do not span a plane")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def interior_lattice_points(points: Sequence[Sequence[int]]) -> tuple[LatticePoi
     assert hull.dim == d, "interior_lattice_points expects a full-dimensional polytope"
     out = []
     for q in lattice_points(pts):
-        if all(dot(vec(f.normal), vec(q)) < f.offset for f in hull.facets):
+        if all(sum(map(mul, f.normal, q)) < f.offset for f in hull.facets):
             out.append(q)
     return tuple(sorted(out))
 
@@ -340,49 +341,25 @@ def lattice_volume(points: Sequence[Sequence[int]]) -> int:
     pts = [as_lattice_point(p) for p in points]
     hull = convex_hull(pts, 3)
     assert hull.dim == 3, "lattice_volume expects a full-dimensional 3-polytope"
-    v0 = vec(pts[0])
-    total = Fraction(0)
+    v0 = pts[0]
+    total = 0
     for f in hull.facets:
-        if dot(vec(f.normal), v0) == f.offset:
+        if sum(map(mul, f.normal, v0)) == f.offset:
             continue
         face = [pts[i] for i in sorted(f.incident)]
-        ordered = [face[k] for k in _cycle_order(face, f.normal)]
-        anchor = vec(ordered[0])
+        ordered = [[a - b for a, b in zip(face[k], v0)] for k in _cycle_order(face, f.normal)]
         for i in range(1, len(ordered) - 1):
-            d = det3(
-                vec_sub(anchor, v0),
-                vec_sub(vec(ordered[i]), v0),
-                vec_sub(vec(ordered[i + 1]), v0),
-            )
-            total += abs(d)
-    assert total.denominator == 1, "normalized volume must be integral"
-    return int(total)
+            total += abs(det3(ordered[0], ordered[i], ordered[i + 1]))
+    return total
 
 
-def lattice_area(points: Sequence[Sequence[int]]) -> int:
-    """Normalized area of a 2-polytope (unit triangle = 1)."""
-    pts = [as_lattice_point(p) for p in points]
-    hull = convex_hull(pts, 2)
-    assert hull.dim == 2, "lattice_area expects a full-dimensional polygon"
-    verts = [pts[i] for i in hull.vertex_indices(pts)]
-    ordered = [verts[k] for k in _cycle_order(verts)]
-    v0 = vec(ordered[0])
-    total = Fraction(0)
-    for i in range(1, len(ordered) - 1):
-        total += det2(vec_sub(vec(ordered[i]), v0), vec_sub(vec(ordered[i + 1]), v0))
-    assert total != 0
-    total = abs(total)
-    assert total.denominator == 1
-    return int(total)
-
-
-def _cycle_order(points: Sequence[Sequence], normal: Sequence[int] | None = None) -> list[int]:
+def _cycle_order(points: Sequence[Sequence], normal: Sequence[int]) -> list[int]:
     """Indices of coplanar points in convex-cycle order around their centroid (exact).
 
-    Points in R^3 are first projected along the axis where ``normal``, a
-    normal of their plane, is largest; points in R^2 are taken as they are.
+    The points in R^3 are first projected along the axis where ``normal``, a
+    normal of their plane, is largest.
     """
-    axis = 2 if normal is None else max(range(3), key=lambda i: abs(normal[i]))
+    axis = max(range(3), key=lambda i: abs(normal[i]))
     keep = [i for i in range(3) if i != axis]
     flat = [(Fraction(p[keep[0]]), Fraction(p[keep[1]])) for p in points]
     cx = sum(q[0] for q in flat) / len(flat)
@@ -490,77 +467,8 @@ def classify_circuit(points: Sequence[Sequence[Fraction]]) -> CircuitType:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices: HNF-style solving and unimodular maps
+# Unimodular maps
 # ---------------------------------------------------------------------------
-
-
-def integer_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution of ``m @ x = b``, or None.
-
-    Column Hermite reduction: find unimodular V with ``m @ V`` lower
-    triangular, solve by forward substitution over the integers, map back.
-    """
-    rows = [list(map(int, r)) for r in m]
-    rhs = [int(x) for x in b]
-    nr, nc = len(rows), len(rows[0])
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def col_op(j: int, k: int, f: int) -> None:  # col_j -= f * col_k
-        for r in rows:
-            r[j] -= f * r[k]
-        for r in v:
-            r[j] -= f * r[k]
-
-    def col_swap(j: int, k: int) -> None:
-        for r in rows:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
-    pr = 0
-    pivot_cols: list[tuple[int, int]] = []
-    for pc in range(nc):
-        if pr >= nr:
-            break
-        row_i = next((i for i in range(pr, nr) if any(rows[i][j] != 0 for j in range(pc, nc))), None)
-        if row_i is None:
-            break
-        rows[pr], rows[row_i] = rows[row_i], rows[pr]
-        rhs[pr], rhs[row_i] = rhs[row_i], rhs[pr]
-        while True:
-            nz = [j for j in range(pc, nc) if rows[pr][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(rows[pr][j]))
-            if jmin != pc:
-                col_swap(pc, jmin)
-            done = True
-            for j in range(pc + 1, nc):
-                if rows[pr][j] != 0:
-                    col_op(j, pc, rows[pr][j] // rows[pr][pc])
-                    if rows[pr][j] != 0:
-                        done = False
-            if done:
-                break
-        if rows[pr][pc] != 0:
-            pivot_cols.append((pr, pc))
-            pr += 1
-    y = [0] * nc
-    used_rows = set()
-    for r, c in pivot_cols:
-        used_rows.add(r)
-        acc = rhs[r] - sum(rows[r][j] * y[j] for j in range(c))
-        if acc % rows[r][c] != 0:
-            return None
-        y[c] = acc // rows[r][c]
-    for r in range(nr):
-        if r not in used_rows and sum(rows[r][j] * y[j] for j in range(nc)) != rhs[r]:
-            return None
-    x = tuple(sum(v[i][j] * y[j] for j in range(nc)) for i in range(nc))
-    assert all(
-        sum(int(a) * xx for a, xx in zip(row, x)) == int(bi) for row, bi in zip(m, b)
-    ), "integer_solve check"
-    return x
 
 
 @dataclass(frozen=True)
@@ -571,32 +479,24 @@ class UnimodularMap:
     shift: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d = abs(determinant(mat(self.matrix)))
-        assert d == 1, f"matrix determinant {d} is not +-1"
+        pivots, d, _, sign = _gauss_jordan([list(r) for r in self.matrix])
+        det = sign * d if len(pivots) == len(self.matrix) else 0
+        if abs(det) != 1:
+            raise ValueError(f"matrix determinant {det} is not +-1")
 
     def apply(self, p: Sequence[int]) -> LatticePoint:
         return tuple(
-            sum(self.matrix[i][j] * int(p[j]) for j in range(len(p))) + self.shift[i]
-            for i in range(len(self.shift))
+            sum(a * int(x) for a, x in zip(row, p)) + t for row, t in zip(self.matrix, self.shift)
         )
 
     def inverse(self) -> "UnimodularMap":
+        # eliminating [M | I] leaves d [I | M^-1], with d = +-det M = +-1
         n = len(self.shift)
-        inv_cols = []
-        for i in range(n):
-            e = [Fraction(int(j == i)) for j in range(n)]
-            sol = solve_affine(mat(self.matrix), e)
-            assert isinstance(sol, AffineSolution), "unimodular matrix must be invertible"
-            assert all(x.denominator == 1 for x in sol.particular), "inverse not integral"
-            inv_cols.append(sol.particular)
-        minv = tuple(tuple(int(inv_cols[j][i]) for j in range(n)) for i in range(n))
-        inv_shift = tuple(
-            -sum(minv[i][j] * self.shift[j] for j in range(n)) for i in range(n)
-        )
-        out = UnimodularMap(matrix=minv, shift=inv_shift)
-        for probe in ([0] * n, [1] + [0] * (n - 1), list(range(1, n + 1))):
-            assert out.apply(self.apply(probe)) == tuple(probe), "inverse map check"
-        return out
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        _, d, rows, _ = _gauss_jordan([[*r, *e] for r, e in zip(self.matrix, unit)])
+        minv = tuple(tuple(x // d for x in row[n:]) for row in rows)
+        shift = tuple(-sum(map(mul, row, self.shift)) for row in minv)
+        return UnimodularMap(matrix=minv, shift=shift)
 
 
 def identity_map(dim: int) -> UnimodularMap:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
@@ -34,10 +33,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return m
 
 
-def zeros(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     assert len(u) == len(v), "dot: length mismatch"
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
@@ -45,11 +40,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -262,10 +252,3 @@ def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
-
-def sign_normalized(v: Sequence[Fraction]) -> Vector:
-    """Scale so the first nonzero entry is positive (used for canonical forms)."""
-    lead = next((x for x in v if x != 0), None)
-    if lead is None or lead > 0:
-        return tuple(Fraction(x) for x in v)
-    return tuple(-Fraction(x) for x in v)

@@ -24,14 +24,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .lattice import CircuitType, NotACircuit, affine_dim, classify_circuit
+from .lattice import CircuitType, NotACircuit, _plane_normal, affine_dim, classify_circuit
 from .linalg import (
     Matrix,
     Vector,
     _integer_row,
     kernel_basis,
     mat,
-    primitive,
     rank,
     transpose,
     vec,
@@ -206,23 +205,8 @@ class ChainsReject:
     clause: str
 
 
-def _plane_normal(points: Sequence[tuple]) -> tuple[Vector, Vector]:
-    """Primitive normal and base point of the plane spanned by coplanar points."""
-    base = vec(points[0])
-    dirs = [tuple(Fraction(q) - b for q, b in zip(p, base)) for p in points[1:]]
-    for d1, d2 in combinations(dirs, 2):
-        n = (
-            d1[1] * d2[2] - d1[2] * d2[1],
-            d1[2] * d2[0] - d1[0] * d2[2],
-            d1[0] * d2[1] - d1[1] * d2[0],
-        )
-        if any(x != 0 for x in n):
-            return primitive(n), base
-    raise AssertionError("points do not span a plane")
-
-
-def _on_plane(normal: Vector, base: Vector, point: tuple) -> bool:
-    return sum(n * (Fraction(q) - b) for n, q, b in zip(normal, point, base)) == 0
+def _on_plane(normal: Sequence[int], base: Sequence[int], point: Sequence[int]) -> bool:
+    return sum(n * (q - b) for n, q, b in zip(normal, point, base)) == 0
 
 
 def _on_line(points: Sequence[tuple], point: tuple) -> bool:
@@ -271,7 +255,7 @@ def chains_case(cfg: PointConfig, flag: Flag, b: Matrix | None = None) -> Chains
         if others or len(pairs) != 1:
             return ChainsReject(clause="difference sets below a size-4 circuit must be one pair and singletons")
         j, pair = pairs[0]
-        normal, base = _plane_normal(top_pts)
+        normal, base = _plane_normal(top_pts), top_pts[0]
         for l, d in enumerate(lower):
             if l > j and not _on_plane(normal, base, cfg.points[d[0]]):
                 return ChainsReject(
@@ -317,7 +301,7 @@ def chains_case(cfg: PointConfig, flag: Flag, b: Matrix | None = None) -> Chains
         high_pts = [cfg.points[x] for x in high]
         if affine_dim(top_pts + high_pts) != 2:
             return ChainsReject(clause="upper pair does not span a plane with the circuit line")
-        normal, base = _plane_normal(top_pts + high_pts)
+        normal, base = _plane_normal(top_pts + high_pts), top_pts[0]
         for l, d in enumerate(lower):
             if i < l < j and len(d) == 1 and not _on_plane(normal, base, cfg.points[d[0]]):
                 return ChainsReject(

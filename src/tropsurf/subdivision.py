@@ -67,11 +67,7 @@ class PointConfig:
     @property
     def matrix_a(self) -> Matrix:
         """The 4 x s matrix: all-ones row over the three coordinate rows."""
-        s = len(self.points)
-        rows = [tuple(Fraction(1) for _ in range(s))]
-        for i in range(3):
-            rows.append(tuple(Fraction(p[i]) for p in self.points))
-        return mat(rows)
+        return mat([(1,) * self.size, *zip(*self.points)])
 
     def heights_from(self, values: Sequence) -> Vector:
         u = vec(values)
@@ -112,7 +108,7 @@ def regular_subdivision(cfg: PointConfig, u: Sequence) -> MarkedSubdivision:
     result unchanged.
     """
     heights = cfg.heights_from(u)
-    lifted = [vec(p) + (heights[i],) for i, p in enumerate(cfg.points)]
+    lifted = [p + (heights[i],) for i, p in enumerate(cfg.points)]
     hull = convex_hull(lifted, 4)
     if hull.dim < 4:
         # affine heights: the trivial subdivision, everything marked; the
@@ -169,11 +165,6 @@ def _stacked_relations(cfg: PointConfig, cells: Sequence[MarkedCell]) -> tuple[V
                 full[j] = k[pos]
             out.append(tuple(full))
     return tuple(out)
-
-
-def secondary_codim(cfg: PointConfig, subdivision: MarkedSubdivision) -> int:
-    """Codimension of the secondary cone: rank of all stacked cell relations."""
-    return rank(mat(_stacked_relations(cfg, subdivision.cells)))
 
 
 def is_maximal_dimensional_type(cfg: PointConfig, subdivision: MarkedSubdivision) -> bool:

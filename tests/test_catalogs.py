@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,3 +219,91 @@ def test_normalize_triangles_no_interior_point_fails():
 def test_normalize_unknown_target():
     with pytest.raises(ValueError):
         normalize(((0, 0),), "pentagon")
+
+
+# -- normalization of unimodular images --------------------------------------
+
+
+def _moved(matrix, shift, points):
+    """Test-local affine image ``matrix @ p + shift`` of each point."""
+    return [tuple(sum(a * x for a, x in zip(row, p)) + t for row, t in zip(matrix, shift)) for p in points]
+
+
+@st.composite
+def unimodular(draw, n):
+    """An integer matrix of determinant +-1 and a shift: shears, a permutation, a sign."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(ops, max_size=5)):
+        if i != j:
+            for row in m:
+                row[i] += c * row[j]
+    m = [m[k] for k in draw(st.permutations(range(n)))]
+    if draw(st.booleans()):
+        m[0] = [-x for x in m[0]]
+    return m, draw(st.tuples(*[st.integers(-5, 5)] * n))
+
+
+# p <= q: the a1 search keeps the least (p, q) of a class, which for these is
+# the literal apex (1, p, q) itself
+REPRESENTATIVES = (
+    [("a1", CAT.a1.instantiate(p, q)) for q in range(1, 6) for p in range(1, q + 1) if gcd(p, q) == 1]
+    + [("a2", e.vertices) for e in CAT.a2]
+    + [("a2", e.vertices + (e.interior_point,)) for e in CAT.a2]
+    + [("triangles", t.vertices) for t in CAT.triangles]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REPRESENTATIVES), st.data())
+def test_normalize_maps_any_unimodular_image_onto_its_representative(case, data):
+    target, rep = case
+    matrix, shift = data.draw(unimodular(len(rep[0])))
+    moved = data.draw(st.permutations(_moved(matrix, shift, rep)))
+    plain = normalize(rep, target)
+    res = normalize(moved, target)
+    assert isinstance(res, NormalizedForm)
+    assert (res.target, res.params) == (plain.target, plain.params)
+    assert {res.map.apply(p) for p in moved} == set(rep)
+    assert set(res.points) <= set(rep)
+
+
+# Recorded before `_map_onto` replaced the per-target searches: the search
+# order decides which of several valid maps is returned.
+PINNED = [
+    (
+        ((4, -2, 1), (2, -2, 2), (7, 2, 4), (2, -3, 1), (3, -3, 1)),
+        "a1",
+        NormalizedForm(
+            target="a1",
+            map=UnimodularMap(matrix=((1, -2, 2), (0, 1, -1), (0, 0, 1)), shift=(-10, 4, -1)),
+            points=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)),
+            params={"p": 2, "q": 3},
+        ),
+    ),
+    (
+        ((1, 9, 4), (2, 14, 11), (0, 5, 0), (1, 7, -3), (0, 4, -2)),
+        "a2",
+        NormalizedForm(
+            target="a2/vol7",
+            map=UnimodularMap(matrix=((9, -3, 1), (-3, 1, 0), (7, -2, 1)), shift=(15, -4, 10)),
+            points=((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 4, 7)),
+            params={"volume": 7},
+        ),
+    ),
+    (
+        ((-7, -6), (8, 3), (2, 0)),
+        "triangles",
+        NormalizedForm(
+            target="T4",
+            map=UnimodularMap(matrix=((5, -8), (3, -5)), shift=(-13, -8)),
+            points=((0, 1), (3, 1), (-3, -2)),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("points, target, expected", PINNED, ids=[t for _, t, _ in PINNED])
+def test_normalize_pinned_sheared_forms(points, target, expected):
+    assert normalize(points, target) == expected
+

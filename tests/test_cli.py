@@ -343,6 +343,7 @@ GOLDEN = [
     ("saturated_n12_flat", ("subdivide",), 0, "5e6ddb3f8c8da4b9e23c5fb76fd2a02e7dc8c2ad9b1a59920d4c069bb4c52712"),
     ("saturated_n12_flat", ("surface",), 0, "5265be80d1063ed101cfdba2dfce697e2a3c2235bdaabf0275138381d2822743"),
     ("saturated_n12_flat", ("render",), 0, "4aa2862ffeacb07758221a97b5d7359a03dc477549773f1eb3d1374082085aaa"),
+    ("tetra5_sheared", ("singular", "--certificate"), 0, "939b088411ea66819b10d047380b36a6aefa62225b1d5322512e8c01f46a6a22"),
 ]
 
 

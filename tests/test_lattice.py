@@ -1,24 +1,27 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tropsurf.lattice import (
     STANDARD_PLANAR_CIRCUIT,
     CircuitType,
     NotACircuit,
     UnimodularMap,
+    _plane_normal,
     affine_dim,
     classify_circuit,
     convex_hull,
     identity_map,
-    integer_solve,
     interior_lattice_points,
-    lattice_area,
     lattice_points,
     lattice_volume,
     pyramid_has_extra_point,
@@ -88,10 +91,6 @@ def test_lattice_volume_cube():
     assert lattice_volume(cube) == 6
 
 
-def test_lattice_area_unit_triangle():
-    assert lattice_area(((0, 0), (1, 0), (0, 1))) == 1
-
-
 def test_radon_collinear_triple():
     part = radon_partition(((0, 0, 0), (0, 0, 1), (0, 0, 2)))
     assert part.dependence == (F(1), F(-2), F(1))
@@ -135,15 +134,38 @@ def test_affine_dim():
     assert affine_dim(UNIT_TET) == 3
 
 
-def test_integer_solve_round_trip():
-    m = ((2, 1), (0, 3))
-    x = integer_solve(m, (4, 6))
-    assert x is not None
-    assert all(sum(r[j] * x[j] for j in range(2)) == b for r, b in zip(m, (4, 6)))
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def test_integer_solve_detects_non_integral():
-    assert integer_solve(((2,),), (1,)) is None
+@st.composite
+def coplanar_points(draw):
+    """Lattice points p0 + a u + b v; the first two differences may be parallel."""
+    vec3 = st.tuples(*[st.integers(-4, 4)] * 3)
+    u, v = draw(vec3), draw(vec3)
+    assume(any(_cross(u, v)))
+    coeffs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=6))
+    if draw(st.booleans()):
+        a, b = coeffs[0]
+        coeffs.insert(1, (2 * a, 2 * b))  # p2 - p0 = 2 (p1 - p0)
+    p0 = draw(vec3)
+    points = [p0] + [tuple(x + a * y + b * z for x, y, z in zip(p0, u, v)) for a, b in coeffs]
+    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
+    assume(any(any(_cross(d1, d2)) for d1, d2 in combinations(diffs, 2)))
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(coplanar_points())
+def test_plane_normal_is_the_first_nonzero_cross_product_made_primitive(points):
+    p0 = points[0]
+    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
+    first = next(c for c in (_cross(d1, d2) for d1, d2 in combinations(diffs, 2)) if any(c))
+    n = _plane_normal(points)
+    g = gcd(*first)
+    assert n == tuple(x // g for x in first)  # a positive multiple: same sign
+    assert gcd(*n) == 1
+    assert all(sum(a * b for a, b in zip(n, d)) == 0 for d in diffs)
 
 
 def test_unimodular_map_inverse():
@@ -154,8 +176,27 @@ def test_unimodular_map_inverse():
 
 
 def test_unimodular_map_rejects_bad_determinant():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="determinant 2 is not"):
         UnimodularMap(matrix=((2, 0), (0, 1)), shift=(0, 0))
+    with pytest.raises(ValueError, match="determinant 0 is not"):
+        UnimodularMap(matrix=((1, 2), (2, 4)), shift=(0, 0))
+
+
+def test_unimodular_map_check_holds_under_python_O():
+    """The determinant check raises, not asserts, so ``-O`` keeps it."""
+    script = """
+from tropsurf.lattice import UnimodularMap
+try:
+    UnimodularMap(((2, 0), (0, 1)), (0, 0))
+except ValueError:
+    print("rejected")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rejected"]
 
 
 def test_identity_map_is_identity():

@@ -17,7 +17,6 @@ from tropsurf.linalg import (
     mat_vec,
     primitive,
     rank,
-    sign_normalized,
     solve_affine,
     transpose,
     vec,
@@ -111,10 +110,6 @@ def test_primitive_scaling():
     assert primitive(vec([F(1, 2), F(1, 3)])) == (3, 2)
     # direction is preserved, not flipped
     assert primitive(vec([F(-2), F(4)])) == (-1, 2)
-
-
-def test_sign_normalized_leading_positive():
-    assert sign_normalized(vec([F(-1), F(2), F(1)]))[0] > 0
 
 
 def test_transpose_involution():

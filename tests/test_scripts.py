@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_cli import GOLDEN, golden_input
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -30,3 +32,12 @@ def test_reproduce_examples_rejects_unknown_name(capsys):
         script.main(["nope"])
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_cli_digests_reproduce_the_golden_digests(capsys):
+    script = load_script("cli_digests")
+    names = sorted({name for name, *_ in GOLDEN})
+    assert script.main([golden_input(name) for name in names]) == 0
+    lines = set(capsys.readouterr().out.splitlines())
+    for name, command, code, digest in GOLDEN:
+        assert f"{golden_input(name)} {' '.join(command)} {code} {digest}" in lines

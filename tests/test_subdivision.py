@@ -33,7 +33,6 @@ from tropsurf.subdivision import (
     extract_circuit,
     is_maximal_dimensional_type,
     regular_subdivision,
-    secondary_codim,
 )
 
 F = Fraction
@@ -92,8 +91,7 @@ def test_marked_points_may_outnumber_vertices():
     ],
 )
 def test_secondary_codim(cfg, u, codim):
-    sd = regular_subdivision(cfg, u)
-    assert secondary_codim(cfg, sd) == codim
+    assert regular_subdivision(cfg, u).codim == codim
 
 
 def test_extract_circuit_collinear():
