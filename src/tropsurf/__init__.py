@@ -36,7 +36,6 @@ from .matroid import (
     flag_of_subsets,
     gale_dual,
     is_defective,
-    is_flat,
 )
 from .subdivision import (
     Circuit,
@@ -87,7 +86,6 @@ __all__ = [
     "flag_of_subsets",
     "gale_dual",
     "is_defective",
-    "is_flat",
     "is_generic",
     "is_maximal_dimensional_type",
     "lattice_points",

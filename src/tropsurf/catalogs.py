@@ -27,11 +27,9 @@ from math import gcd
 from typing import Sequence
 
 from .lattice import (
-    CircuitType,
     LatticePoint,
     UnimodularMap,
     as_lattice_point,
-    classify_circuit,
     identity_map,
     interior_lattice_points,
     radon_partition,
@@ -68,7 +66,7 @@ class TetrahedronEntry:
     def vertices(self) -> tuple[LatticePoint, ...]:
         return ((0, 0, 0), (1, 0, 0), (0, 1, 0), self.apex)
 
-    @property
+    @functools.cached_property
     def interior_point(self) -> LatticePoint:
         pts = interior_lattice_points(self.vertices)
         assert len(pts) == 1, f"{self.id}: expected a unique interior point"
@@ -353,7 +351,8 @@ def _normalize_a1(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
     literal = set(pts) - base
     if len(literal) == 1:
         apex = next(iter(literal))
-        if apex[0] == 1 and apex[1] >= 1 and apex[2] >= 1 and gcd(apex[1], apex[2]) == 1:
+        # with p > q the y-z swap gives the lesser (1, q, p), so only p <= q is final
+        if apex[0] == 1 and 1 <= apex[1] <= apex[2] and gcd(apex[1], apex[2]) == 1:
             return NormalizedForm(
                 target="a1",
                 map=identity_map(3),
@@ -384,7 +383,7 @@ def _normalize_a2(pts: list[LatticePoint]) -> NormalizedForm | NoMatch:
     interior: LatticePoint | None = None
     if len(pts) == 5:
         part = radon_partition(pts)
-        if classify_circuit(pts) is not CircuitType.B:
+        if {len(part.positive), len(part.negative)} != {1, 4}:  # not type B
             return NoMatch("a2", "five points do not form a type-B circuit")
         single = part.positive if len(part.positive) == 1 else part.negative
         interior_idx = next(iter(single))

@@ -7,6 +7,9 @@ subdivision, checks each candidate against the flats criterion, classifies
 the accepted ones into the local shapes (pentatope, tetrahedron, pyramid
 edge, trapeze, barycenter), and refuses non-generic inputs.
 
+Every candidate route, coincidence vertex and chain system is one
+`surface._agreement`: the points where the terms of some index groups
+agree.  Every flats test takes the command's one `matroid.GaleDual`.
 Lineality shifts, the closed-cell test and `_line_interval` (the t-interval
 of a line on which given height pairs stay ordered) read the terms
 u_i + m_i . p as integer numerators from `surface._scaled_terms`.  Apex
@@ -22,17 +25,15 @@ from itertools import combinations
 from typing import Sequence
 
 from .catalogs import NoMatch, normalize
-from .lattice import CircuitType, LatticePoint, _plane_normal, radon_partition
+from .lattice import CircuitType, LatticePoint, _plane_normal
 from .linalg import (
     Infeasible,
-    Matrix,
     Vector,
     det2,
     det3,
     kernel_basis,
     mat,
     primitive,
-    solve_affine,
     vec,
     vec_add,
     vec_scale,
@@ -41,6 +42,7 @@ from .linalg import (
 from .matroid import (
     ChainsReject,
     Flag,
+    GaleDual,
     all_levels_flats,
     chains_case,
     difference_sets,
@@ -59,7 +61,7 @@ from .subdivision import (
     is_maximal_dimensional_type,
     regular_subdivision,
 )
-from .surface import _scaled_terms, dual_vertex, tropical_eval
+from .surface import _agreement, _scaled_terms, dual_vertex, tropical_eval
 
 Route = tuple[str, tuple[int, ...]]
 
@@ -99,23 +101,22 @@ class LiftReject:
     reason: str
 
 
-def lift_check(cfg: PointConfig, u: Sequence, p: Sequence, b: Matrix | None = None) -> Certificate | LiftReject:
+def lift_check(cfg: PointConfig, u: Sequence, p: Sequence, b: GaleDual) -> Certificate | LiftReject:
     """Decide singularity of p by the flats criterion on its height flag.
 
-    ``b`` is the caller's `gale_dual` of ``cfg``; passing it shares its
-    memoised closures across the lift checks of one command.
+    ``b`` is the caller's `gale_dual` of ``cfg``; its memoised closures are
+    shared across the lift checks of one command.
     """
-    dual = b if b is not None else gale_dual(cfg)
-    if has_zero_column(dual) is not None:
+    if has_zero_column(b) is not None:
         return LiftReject(reason="a point of the configuration lies in no affine relation")
     shifted = shifted_heights(cfg, u, p)
     flag = flag_of_subsets(shifted)
-    bad = all_levels_flats(dual, flag)
+    bad = all_levels_flats(b, flag)
     if bad is not None:
         return LiftReject(reason=f"flag level {bad + 1} is not a flat")
     maximal = len(flag) == cfg.size - 4
     if maximal:
-        case = chains_case(cfg, flag, dual)
+        case = chains_case(cfg, flag, b)
         if isinstance(case, ChainsReject):
             return Certificate(
                 shifted=shifted,
@@ -125,7 +126,7 @@ def lift_check(cfg: PointConfig, u: Sequence, p: Sequence, b: Matrix | None = No
                 discrepancy=f"flats accept but shape classifier rejects: {case.clause}",
             )
         return Certificate(shifted=shifted, flag=flag, maximal=True, case=case.case)
-    refined = refine_to_accepted(cfg, flag, dual)
+    refined = refine_to_accepted(cfg, flag, b)
     if refined is None:
         return Certificate(
             shifted=shifted,
@@ -155,18 +156,6 @@ class FamilyCandidate:
     route: Route
 
 
-def _equalities(
-    cfg: PointConfig, u: Vector, pairs: Sequence[tuple[int, int]]
-) -> tuple[list[LatticePoint], list[Fraction]]:
-    """Integer rows ``p_i - p_j`` and right-hand sides ``u_j - u_i``."""
-    rows = [tuple(a - b for a, b in zip(cfg.points[i], cfg.points[j])) for i, j in pairs]
-    return rows, [u[j] - u[i] for i, j in pairs]
-
-
-def _chain_pairs(indices: Sequence[int]) -> list[tuple[int, int]]:
-    return [(indices[0], j) for j in indices[1:]]
-
-
 def candidate_points(
     cfg: PointConfig, u: Sequence, circuit: Circuit
 ) -> tuple[tuple[Candidate, ...], tuple[FamilyCandidate, ...]]:
@@ -174,31 +163,30 @@ def candidate_points(
 
     Routes depend on the affine dimension of the circuit: the dual vertex
     itself (dim 3), one extra coincidence pair (dim 2), or an extra triple /
-    two disjoint pairs (dim 1).
+    two disjoint pairs (dim 1).  Each route's groups of terms agree, and
+    so do the circuit's.
     """
     heights = cfg.heights_from(u)
     others = [i for i in range(cfg.size) if i not in circuit.indices]
-    routes: list[tuple[Route, list[tuple[int, int]]]] = []
+    routes: list[tuple[Route, list[tuple[int, ...]]]] = []
     if circuit.dim == 3:
         routes.append((("circuit", ()), []))
     elif circuit.dim == 2:
-        for i, j in combinations(others, 2):
-            routes.append((("pair", (i, j)), [(i, j)]))
+        for pair in combinations(others, 2):
+            routes.append((("pair", pair), [pair]))
     else:
         assert circuit.dim == 1, "circuits span dimension 1, 2 or 3"
         for tri in combinations(others, 3):
-            routes.append((("triple", tri), _chain_pairs(tri)))
+            routes.append((("triple", tri), [tri]))
         for p1, p2 in combinations(list(combinations(others, 2)), 2):
             if set(p1) & set(p2):
                 continue
             routes.append((("pair-pair", p1 + p2), [p1, p2]))
 
-    base_pairs = _chain_pairs(circuit.indices)
     found: dict[Vector, list[Route]] = {}
     families: list[FamilyCandidate] = []
-    for route, extra in routes:
-        m, rhs = _equalities(cfg, heights, base_pairs + extra)
-        sol = solve_affine(m, rhs)
+    for route, groups in routes:
+        sol = _agreement(cfg, heights, [circuit.indices, *groups])
         if isinstance(sol, Infeasible):
             continue
         if sol.unique:
@@ -333,7 +321,7 @@ def classify(
 
     accepted: list[tuple[Candidate, Certificate]] = []
     for cand in cands:
-        res = lift_check(cfg, heights, cand.point, b=b)
+        res = lift_check(cfg, heights, cand.point, b)
         if isinstance(res, LiftReject):
             continue
         if res.discrepancy is not None:
@@ -400,7 +388,7 @@ def _maxdim_detail(cfg: PointConfig, t: MarkedSubdivision) -> dict:
 
 
 def _family_scan(
-    cfg: PointConfig, u: Vector, fam: FamilyCandidate, b: Matrix
+    cfg: PointConfig, u: Vector, fam: FamilyCandidate, b: GaleDual
 ) -> tuple[bool, tuple[Vector, ...]]:
     """Exact Bergman scan of a candidate family line.
 
@@ -413,7 +401,7 @@ def _family_scan(
     if len(fam.directions) != 1:
         samples = [fam.base] + [vec_add(fam.base, d) for d in fam.directions[:2]]
         hits = sum(
-            isinstance(lift_check(cfg, u, p, b=b), Certificate) for p in samples
+            isinstance(lift_check(cfg, u, p, b), Certificate) for p in samples
         )
         return hits >= 2, ()
     d = fam.directions[0]
@@ -444,7 +432,7 @@ def _family_scan(
 
     def singular_at(t: Fraction) -> bool:
         p = vec_add(fam.base, vec_scale(t, d))
-        return isinstance(lift_check(cfg, u, p, b=b), Certificate)
+        return isinstance(lift_check(cfg, u, p, b), Certificate)
 
     if any(singular_at(t) for t in samples):
         return True, ()
@@ -492,9 +480,9 @@ def _label_pentatope(cfg: PointConfig, circuit: Circuit) -> tuple[str, dict]:
 
 def _label_tetrahedron(cfg: PointConfig, circuit: Circuit) -> tuple[str, dict]:
     pts = [cfg.points[i] for i in circuit.indices]
-    radon = radon_partition(pts)
-    small = radon.positive if len(radon.positive) == 1 else radon.negative
-    interior = circuit.indices[next(iter(small))]
+    # the interior point is the one whose sign in the affine dependence is alone
+    signs = [circuit.dependence[i] > 0 for i in circuit.indices]
+    interior = next(i for i, s in zip(circuit.indices, signs) if signs.count(s) == 1)
     a, *outer = (cfg.points[i] for i in circuit.indices if i != interior)
     mult = abs(det3(*([x - y for x, y in zip(q, a)] for q in outer)))
     metric: dict = {"circuit": circuit.indices, "multiplicity": mult, "interior_point": interior}
@@ -649,9 +637,7 @@ def _coincidence_vertex(
     This is the dual vertex of the cell marked circuit + extras when that
     cell exists, and its virtual continuation when it does not.
     """
-    idxs = tuple(circuit.indices) + tuple(extras)
-    m, rhs = _equalities(cfg, u, _chain_pairs(idxs))
-    sol = solve_affine(m, rhs)
+    sol = _agreement(cfg, u, [circuit.indices + extras])
     if isinstance(sol, Infeasible) or not sol.unique:
         return None
     return sol.particular
@@ -858,13 +844,9 @@ def _chain_scan(
     pieces: dict[tuple, FamilyPiece] = {}
     for chain in maximal_flat_chains(b):
         diffs = difference_sets(chain)
-        pairs: list[tuple[int, int]] = []
-        for d in diffs:
-            pairs.extend(_chain_pairs(d))
-        if not pairs:
-            continue
-        m, rhs = _equalities(cfg, heights, pairs)
-        sol = solve_affine(m, rhs)
+        if all(len(d) == 1 for d in diffs):
+            continue  # no two terms are forced equal
+        sol = _agreement(cfg, heights, diffs)
         if isinstance(sol, Infeasible):
             continue
         if sol.unique:

@@ -24,6 +24,7 @@ from typing import Sequence
 from .linalg import (
     AffineSolution,
     Vector,
+    _extend,
     _gauss_jordan,
     det2,
     det3,
@@ -162,10 +163,11 @@ def convex_hull(points: Sequence[Sequence[Fraction]], ambient_dim: int) -> Hull:
     # integer image with the same orientations and incidences.
     scale = [lcm(*(p[i].denominator for p in points)) for i in range(ambient_dim)]
     qs = [tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scale)) for p in points]
-    start = [0]
+    start, basis = [0], []  # the first affinely independent points, in index order
     for i in range(1, len(qs)):
-        rows = [[a - b for a, b in zip(qs[j], qs[0])] for j in start[1:] + [i]]
-        if len(start) <= ambient_dim and rank(rows) == len(rows):
+        if len(start) > ambient_dim:
+            break
+        if _extend(basis, [a - b for a, b in zip(qs[i], qs[0])]):
             start.append(i)
     base = vec(points[0])
     dim = len(start) - 1

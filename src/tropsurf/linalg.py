@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (hulls, regular subdivisions, dual complexes, matroid
-rank computations) is decided by small dense rational systems.  ``rank``
-scales each row by the lcm of its denominators and runs Bareiss's
-fraction-free elimination on plain integers.  ``kernel_basis``,
+rank computations) is decided by small dense rational systems, run on
+integer rows: each row is scaled by the lcm of its denominators.  One
+incremental Bareiss reduction, `_reduce` against the pivot rows that
+`_extend` collects, answers every span question: ``rank``, the start
+simplex of a hull and the Gale matroid's closures.  ``kernel_basis``,
 ``solve_affine`` and ``determinant`` share ``_gauss_jordan``, the same
 elimination carried on above each pivot: its integer rows over one common
 denominator are the reduced row echelon form, so a ``Fraction`` is built
@@ -59,31 +61,42 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank of a rational matrix, by fraction-free elimination.
+    """Exact rank of a rational matrix: the size of `_span_basis` of its integer rows."""
+    return len(_span_basis(_integer_row(r) for r in m))
 
-    Each row is scaled by the lcm of its denominators, which keeps the rank,
-    and the integer rows are eliminated by Bareiss's rule: after pivot ``p``
-    every remaining row becomes ``(p * row - row[c] * pivot_row) // prev``,
-    where ``prev`` is the previous pivot.  Each entry is then a minor of the
-    scaled matrix (Sylvester's identity), so the division is exact and the
-    entries stay as small as those minors.
+
+def _reduce(basis: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> Sequence[int]:
+    """``v`` after Bareiss elimination by the pivot rows of ``basis``.
+
+    Each pivot ``(c, e)`` replaces ``v`` by ``(p * v - v[c] * e) // prev``
+    with ``p = e[c]`` and ``prev`` the previous pivot (Bareiss, Math. Comp.
+    22, 1968).  Each entry is then a minor of the rows seen so far
+    (Sylvester's identity), so the division is exact and the entries stay as
+    small as those minors.  The result is zero iff ``v`` lies in the span.
     """
-    rows = [_integer_row(r) for r in m]
-    ncols = len(rows[0]) if rows else 0
-    found = 0
     prev = 1
-    for c in range(ncols):
-        pivot = next((i for i, row in enumerate(rows) if row[c] != 0), None)
-        if pivot is None:
-            continue
-        top = rows.pop(pivot)
-        p = top[c]
-        rows = [[(p * x - row[c] * y) // prev for x, y in zip(row, top)] for row in rows]
+    for c, e in basis:
+        p, x = e[c], v[c]
+        v = [(p * a - x * y) // prev for a, y in zip(v, e)]
         prev = p
-        found += 1
-        if not rows:
-            break
-    return found
+    return v
+
+
+def _extend(basis: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> bool:
+    """Append ``v``, reduced, to ``basis`` if it is outside the span; say whether it was."""
+    v = _reduce(basis, v)
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is not None:
+        basis.append((c, v))
+    return c is not None
+
+
+def _span_basis(vectors: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+    """Pivot rows ``(pivot column, reduced vector)`` of the span of integer ``vectors``."""
+    basis: list[tuple[int, Sequence[int]]] = []
+    for v in vectors:
+        _extend(basis, v)
+    return basis
 
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
@@ -97,7 +110,7 @@ def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, list[list[int]
 
     The pivot of each column is its first nonzero entry at or below the next
     leading row, swapped up.  Every other row, above the pivot as well as
-    below, becomes ``(p * row - row[c] * pivot_row) // prev`` as in `rank`:
+    below, becomes ``(p * row - row[c] * pivot_row) // prev`` as in `_reduce`:
     each division is exact and every pivot entry ends equal to the last
     pivot ``d``.  Returns ``(pivots, d, reduced, sign)``: the pivot column of
     each leading row, ``d``, integer rows whose quotients by ``d`` are the

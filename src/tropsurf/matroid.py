@@ -8,13 +8,14 @@ classifier below sorts maximal flags into four shapes keyed by the size of
 the top difference set and the circuit type it carries.
 
 `gale_dual` returns a `GaleDual`: the rows of B together with a closure
-oracle for the matroid of its columns.  ``closure(S)`` is one fraction-free
-elimination of S's integer columns followed by one span-membership
-reduction per other column, memoised for the life of the object.  Every
-flats question of one command goes through the one object that the command
-made: flats are closures, the lattice of flats is generated from cl(empty
-set) by the covers cl(F + e), and maximal chains walk those covers (the
-flags of flats of the Bergman fan; Ardila-Klivans 2006).
+oracle for the matroid of its columns.  ``closure(S)`` collects the pivot
+rows of S's integer columns with `linalg._span_basis` and runs one
+`linalg._reduce` per other column, memoised for the life of the object.
+Every function here that asks about flats takes the object that the
+command made, never a bare matrix: flats are closures, the lattice of
+flats is generated from cl(empty set) by the covers cl(F + e), and maximal
+chains walk those covers (the flags of flats of the Bergman fan;
+Ardila-Klivans 2006).
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .lattice import CircuitType, NotACircuit, _plane_normal, affine_dim, classify_circuit
 from .linalg import (
-    Matrix,
     Vector,
     _integer_row,
+    _reduce,
+    _span_basis,
     kernel_basis,
     mat,
     rank,
@@ -45,11 +47,12 @@ ENUMERATION_BOUND = 10
 class GaleDual(tuple):
     """A Gale matrix (a tuple of rational rows) with a closure oracle.
 
-    A ``GaleDual`` is a `Matrix` and goes wherever one is expected.  Its
-    oracle works on the columns of B with each row multiplied by the lcm of
-    its denominators, which keeps every linear relation among the columns,
-    so the columns are integer vectors.  Closures and covers are memoised
-    by sorted index tuple for the life of the object, never across objects.
+    A ``GaleDual`` is a `Matrix`, and the one argument that every flats
+    question of this module takes.  Its oracle works on the columns of B
+    with each row multiplied by the lcm of its denominators, which keeps
+    every linear relation among the columns, so the columns are integer
+    vectors.  Closures and covers are memoised by sorted index tuple for
+    the life of the object, never across objects.
     """
 
     def __new__(cls, rows: Iterable[Vector], size: int = 0) -> "GaleDual":
@@ -107,44 +110,9 @@ def gale_dual(cfg: PointConfig) -> GaleDual:
     return GaleDual(mat(rows), cfg.size)
 
 
-def _reduce(basis: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> Sequence[int]:
-    """``v`` after Bareiss elimination by the pivot rows of ``basis``.
-
-    Each pivot ``(c, e)`` replaces ``v`` by ``(p * v - v[c] * e) // prev``
-    with ``p = e[c]`` and ``prev`` the previous pivot, as in `linalg.rank`;
-    the division is exact.  The result is zero iff ``v`` lies in the span.
-    """
-    prev = 1
-    for c, e in basis:
-        p, x = e[c], v[c]
-        v = [(p * a - x * y) // prev for a, y in zip(v, e)]
-        prev = p
-    return v
-
-
-def _span_basis(columns: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
-    """Pivot rows ``(pivot column, reduced vector)`` of the span of ``columns``."""
-    basis: list[tuple[int, Sequence[int]]] = []
-    for col in columns:
-        v = _reduce(basis, col)
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is not None:
-            basis.append((c, v))
-    return basis
-
-
-def _oracle(b: Matrix) -> GaleDual:
-    return b if isinstance(b, GaleDual) else GaleDual(b)
-
-
-def has_zero_column(b: Matrix) -> int | None:
+def has_zero_column(b: GaleDual) -> int | None:
     """Index of a zero Gale column (a loop), or None."""
-    return next((j for j, col in enumerate(_oracle(b)._columns) if not any(col)), None)
-
-
-def is_flat(b: Matrix, subset: Iterable[int]) -> bool:
-    """Whether the span of the Gale columns in ``subset`` contains no other column."""
-    return _oracle(b).is_flat(subset)
+    return next((j for j, col in enumerate(b._columns) if not any(col)), None)
 
 
 def flag_of_subsets(u: Sequence) -> Flag:
@@ -172,11 +140,10 @@ def difference_sets(flag: Flag) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def all_levels_flats(b: Matrix, flag: Flag) -> int | None:
+def all_levels_flats(b: GaleDual, flag: Flag) -> int | None:
     """Index of the first flag level that is not a flat, or None if all are."""
-    oracle = _oracle(b)
     for l, level in enumerate(flag):
-        if not oracle.is_flat(level):
+        if not b.is_flat(level):
             return l
     return None
 
@@ -213,19 +180,19 @@ def _on_line(points: Sequence[tuple], point: tuple) -> bool:
     return affine_dim(list(points) + [point]) <= 1
 
 
-def chains_case(cfg: PointConfig, flag: Flag, b: Matrix | None = None) -> ChainsCase | ChainsReject:
+def chains_case(cfg: PointConfig, flag: Flag, b: GaleDual) -> ChainsCase | ChainsReject:
     """Classify a maximal flag into one of the four singular-flag shapes.
 
     Checks, in order: every level a flat, the top difference set a circuit of
     the right type, the lower difference-set pattern, and the geometric side
     conditions of the matched shape.  The first violated clause is reported.
-    ``b`` is the Gale dual of ``cfg`` when the caller has it.
+    ``b`` is the `gale_dual` of ``cfg``.
     """
     s = cfg.size
     if len(flag) != s - 4:
         raise ValueError(f"flag has {len(flag)} levels; a maximal flag has {s - 4}")
     _validate_flag(flag, s)
-    bad = all_levels_flats(b if b is not None else gale_dual(cfg), flag)
+    bad = all_levels_flats(b, flag)
     if bad is not None:
         return ChainsReject(clause=f"level {bad + 1} is not a flat")
     diffs = difference_sets(flag)
@@ -336,34 +303,32 @@ def _validate_flag(flag: Flag, size: int) -> None:
             raise ValueError("flag levels must be sorted tuples")
 
 
-def all_flats(b: Matrix) -> tuple[tuple[int, ...], ...]:
+def all_flats(b: GaleDual) -> tuple[tuple[int, ...], ...]:
     """All nonempty flats, smallest first (then lexicographic).
 
     Every flat is reached from cl(empty set) by a chain of covers, so a
     breadth-first walk over covers finds each flat without testing subsets.
     """
-    oracle = _oracle(b)
-    if oracle.size > ENUMERATION_BOUND:
+    if b.size > ENUMERATION_BOUND:
         raise ValueError(f"flat enumeration is bounded to {ENUMERATION_BOUND} points")
-    layer = {oracle.closure(())}
+    layer = {b.closure(())}
     found = set(layer)
     while layer:
-        layer = {c for f in layer for c in oracle.covers(f)} - found
+        layer = {c for f in layer for c in b.covers(f)} - found
         found |= layer
     return tuple(sorted((f for f in found if f), key=lambda f: (len(f), f)))
 
 
-def maximal_flat_chains(b: Matrix) -> tuple[Flag, ...]:
+def maximal_flat_chains(b: GaleDual) -> tuple[Flag, ...]:
     """All chains of nonempty flats of length s - 4 ending at the full set.
 
     Ranks rise strictly along a chain of flats, and the flats of rank
     rank(F) + d above F are those d covers up from F; a chain may skip
     ranks only as far as the ranks left above it allow.
     """
-    oracle = _oracle(b)
-    all_flats(oracle)  # enforces the enumeration bound
-    target = oracle.size - 4
-    full = tuple(range(oracle.size))
+    all_flats(b)  # enforces the enumeration bound
+    target = b.size - 4
+    full = tuple(range(b.size))
     chains: list[Flag] = []
 
     def extend(chain: list[tuple[int, ...]], flat: tuple[int, ...], flat_rank: int) -> None:
@@ -373,26 +338,23 @@ def maximal_flat_chains(b: Matrix) -> tuple[Flag, ...]:
                 chains.append(tuple(chain))
             return
         above = {flat}
-        for d in range(1, oracle.rank - flat_rank - left + 2):
-            above = {c for f in above for c in oracle.covers(f)}
+        for d in range(1, b.rank - flat_rank - left + 2):
+            above = {c for f in above for c in b.covers(f)}
             for nxt in above:
                 chain.append(nxt)
                 extend(chain, nxt, flat_rank + d)
                 chain.pop()
 
     if target >= 1:
-        bottom = oracle.closure(())
+        bottom = b.closure(())
         if bottom:
             extend([bottom], bottom, 0)
         extend([], bottom, 0)
     return tuple(sorted(chains))
 
 
-def enumerate_flags_of_flats(
-    cfg: PointConfig, b: Matrix | None = None
-) -> tuple[tuple[Flag, ChainsCase], ...]:
+def enumerate_flags_of_flats(cfg: PointConfig, b: GaleDual) -> tuple[tuple[Flag, ChainsCase], ...]:
     """All maximal flags of flats accepted by the four-case classifier."""
-    b = b if b is not None else gale_dual(cfg)
     out = []
     for chain in maximal_flat_chains(b):
         case = chains_case(cfg, chain, b)
@@ -453,9 +415,7 @@ def _flat_runs(
                 yield [level] + tail
 
 
-def refine_to_accepted(
-    cfg: PointConfig, flag: Flag, b: Matrix | None = None
-) -> tuple[Flag, ChainsCase] | None:
+def refine_to_accepted(cfg: PointConfig, flag: Flag, b: GaleDual) -> tuple[Flag, ChainsCase] | None:
     """A maximal refinement of a flag of flats accepted by the classifier.
 
     Refinement splits each difference set into an ordered run of sub-levels
@@ -463,7 +423,6 @@ def refine_to_accepted(
     refinement, or None.
     """
     target = cfg.size - 4
-    oracle = _oracle(b if b is not None else gale_dual(cfg))
     diffs = difference_sets(flag)
 
     def search(level_idx: int, built: list[tuple[int, ...]]) -> tuple[Flag, ChainsCase] | None:
@@ -471,14 +430,14 @@ def refine_to_accepted(
             if len(built) != target:
                 return None
             candidate = tuple(built)
-            case = chains_case(cfg, candidate, oracle)
+            case = chains_case(cfg, candidate, b)
             if isinstance(case, ChainsCase):
                 return candidate, case
             return None
         if len(built) >= target:
             return None
         below = built[-1] if built else ()
-        for levels in _flat_runs(oracle, below, diffs[level_idx], target - len(built)):
+        for levels in _flat_runs(b, below, diffs[level_idx], target - len(built)):
             found = search(level_idx + 1, built + levels)
             if found is not None:
                 return found

@@ -96,10 +96,6 @@ class MarkedSubdivision:
     dim_lineality: int  # dimension of the stacked relation space = codimension
     relations: tuple[Vector, ...]  # the stacked per-cell affine relations
 
-    @property
-    def codim(self) -> int:
-        return self.dim_lineality
-
 
 def regular_subdivision(cfg: PointConfig, u: Sequence) -> MarkedSubdivision:
     """Marked subdivision induced by lifting point i to height u[i].
@@ -204,8 +200,8 @@ def extract_circuit(cfg: PointConfig, subdivision: MarkedSubdivision) -> Circuit
     Verifies on the way that every marked cell not containing the circuit is
     a vertex-marked simplex (anything else contradicts codimension 1).
     """
-    if subdivision.codim != 1:
-        return NotCodimOne(codim=subdivision.codim)
+    if subdivision.dim_lineality != 1:
+        return NotCodimOne(codim=subdivision.dim_lineality)
     gen = next(v for v in subdivision.relations if any(x != 0 for x in v))
     lead = next(x for x in gen if x != 0)
     if lead < 0:

@@ -11,6 +11,9 @@ outer normal its cell carries for it, so no hull is built here.
 ``U_i + m_i . P`` over one common denominator ``D`` (``U = D * u``,
 ``P = D * p``); ``tropical_eval`` and the engine's lineality shifts and line
 intervals compare these, and build a ``Fraction`` only for a result.
+``_agreement`` is the one system for "these terms agree": a dual vertex
+here, and every candidate route, coincidence vertex and chain system of the
+engine.
 """
 
 from __future__ import annotations
@@ -18,20 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .lattice import LatticePoint, _cycle_order, segment_lattice_count
-from .linalg import (
-    AffineSolution,
-    Vector,
-    det3,
-    primitive,
-    solve_affine,
-    vec,
-    vec_sub,
-)
+from .lattice import LatticePoint, _cycle_order
+from .linalg import AffineSolution, Infeasible, Vector, det3, solve_affine, vec, vec_sub
 from .subdivision import MarkedCell, MarkedSubdivision, PointConfig, regular_subdivision
 
 
@@ -102,12 +97,22 @@ class TropicalComplex:
     faces: tuple[SurfaceFace, ...]
 
 
+def _agreement(
+    cfg: PointConfig, heights: Vector, groups: Sequence[Sequence[int]]
+) -> AffineSolution | Infeasible:
+    """`solve_affine` for the points p where the terms u_i + m_i . p of each group agree.
+
+    A group ``(i, j, k, ...)`` gives the rows ``m_i - m_j``, ``m_i - m_k``, ...
+    with right-hand sides ``u_j - u_i``, ``u_k - u_i``, ...
+    """
+    pairs = [(g[0], j) for g in groups for j in g[1:]]
+    rows = [tuple(a - b for a, b in zip(cfg.points[i], cfg.points[j])) for i, j in pairs]
+    return solve_affine(rows, [heights[j] - heights[i] for i, j in pairs])
+
+
 def dual_vertex(cfg: PointConfig, u: Sequence, marked: Sequence[int]) -> Vector:
     """The point where all terms of a 3-dimensional cell's marked set agree."""
-    heights = cfg.heights_from(u)
-    base = cfg.points[marked[0]]
-    rows = [tuple(a - b for a, b in zip(cfg.points[j], base)) for j in marked[1:]]
-    sol = solve_affine(rows, [heights[marked[0]] - heights[j] for j in marked[1:]])
+    sol = _agreement(cfg, cfg.heights_from(u), [marked])
     assert isinstance(sol, AffineSolution), "cell system must be solvable"
     assert sol.unique, "maximal cells must pin a single dual vertex"
     return sol.particular
@@ -164,9 +169,9 @@ def build_complex(
 
     faces = []
     for key, cells in sorted(edge_cells.items()):
-        ends = _segment_endpoints([cfg.points[i] for i in key])
-        weight = segment_lattice_count(ends[0], ends[1]) - 1
-        direction = primitive(vec_sub(vec(ends[1]), vec(ends[0])))
+        start, end = _segment_endpoints([cfg.points[i] for i in key])
+        step = [b - a for a, b in zip(start, end)]
+        weight = gcd(*step)  # the lattice length of the edge
         rays = tuple(
             sorted(anchored for fkey, anchored in boundary_ray.items() if set(key) <= set(fkey))
         )
@@ -174,7 +179,7 @@ def build_complex(
             SurfaceFace(
                 dual_edge=key,
                 weight=weight,
-                direction=tuple(int(x) for x in direction),
+                direction=tuple(x // weight for x in step),
                 vertex_ids=tuple(sorted(cells)),
                 rays=rays,
             )

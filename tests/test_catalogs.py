@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import sys
+from dataclasses import fields
 from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropsurf.catalogs import NoMatch, NormalizedForm, catalogs, normalize
+from tropsurf.catalogs import NoMatch, NormalizedForm, TetrahedronEntry, catalogs, normalize
 from tropsurf.lattice import (
     UnimodularMap,
     interior_lattice_points,
@@ -39,6 +41,22 @@ def test_a2_exactly_one_interior_no_extra_boundary(entry):
 
 def test_a2_interior_point_lookup():
     assert CAT.by_id("a2/vol4").interior_point == (1, 1, 1)
+
+
+def test_a2_interior_point_is_computed_once_per_entry(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return interior_lattice_points(points)
+
+    monkeypatch.setattr(sys.modules["tropsurf.catalogs"], "interior_lattice_points", counted)
+    fresh = [TetrahedronEntry(id=e.id, apex=e.apex, volume=e.volume) for e in CAT.a2]
+    for entry, original in zip(fresh, CAT.a2):
+        assert entry.interior_point == entry.interior_point == original.interior_point
+    assert len(calls) == len(fresh)
+    # a cached value, not a field: the catalog's JSON is unchanged
+    assert "interior_point" not in {f.name for f in fields(TetrahedronEntry)}
 
 
 # -- a1 pentatope family ----------------------------------------------------
@@ -165,6 +183,16 @@ def test_normalize_a1_sheared_image_maps_back():
     res = normalize(moved, "a1")
     assert isinstance(res, NormalizedForm)
     assert {res.map.apply(p) for p in moved} == set(res.points)
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (5, 3)])
+def test_normalize_a1_literal_apex_with_p_above_q_gives_the_least_form(p, q):
+    """The y-z swap maps (1, p, q) to (1, q, p), so the least form has p <= q."""
+    pts = CAT.a1.base + ((1, p, q),)
+    res = normalize(pts, "a1")
+    assert isinstance(res, NormalizedForm)
+    assert res.params == {"p": q, "q": p}
+    assert {res.map.apply(x) for x in pts} == set(CAT.a1.instantiate(q, p))
 
 
 def test_normalize_a1_rejects_wrong_count():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tropsurf import cli, engine, subdivision, surface
+from tropsurf import cli, engine, lattice, matroid, subdivision, surface
 from tropsurf.cli import main, point_label
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -206,6 +206,25 @@ def test_render_builds_the_subdivision_once(capsys, monkeypatch, name):
     code, out, _ = run(capsys, "render", golden_input(name))
     assert code == 0 and "OFF" in out.splitlines()
     assert len(calls) == 1
+
+
+def test_singular_computes_the_radon_partition_three_times(capsys, monkeypatch):
+    """`extract_circuit`, `chains_case` and the a2 map search need it once
+    each; the tetrahedron label reads the signs of the circuit's dependence.
+    """
+    calls = []
+    original = lattice.radon_partition
+
+    def counted(points):
+        calls.append(points)
+        return original(points)
+
+    catalogs = sys.modules["tropsurf.catalogs"]  # ``tropsurf.catalogs`` is also a function
+    for module in (lattice, catalogs, engine, matroid, subdivision):
+        monkeypatch.setattr(module, "radon_partition", counted, raising=False)
+    code, out, _ = run(capsys, "singular", golden_input("tetra5_sheared"))
+    assert code == 0 and '"a2(' in out
+    assert len(calls) == 3
 
 
 def test_missing_file_exit_2(capsys):

@@ -39,6 +39,7 @@ from tropsurf.engine import (
     shifted_heights,
     singular_family,
 )
+from tropsurf.matroid import gale_dual
 from tropsurf.subdivision import InvalidConfig, PointConfig
 from tropsurf.surface import tropical_eval
 
@@ -246,7 +247,7 @@ def test_vertex_labels():
 
 
 def test_lift_check_accepts_singular_point():
-    cert = lift_check(WORKED, worked_heights(-3), (1, 0, 0))
+    cert = lift_check(WORKED, worked_heights(-3), (1, 0, 0), gale_dual(WORKED))
     assert isinstance(cert, Certificate)
     assert cert.flag == ((6,), (4, 5, 6), (0, 1, 2, 3, 4, 5, 6))
     assert cert.maximal
@@ -254,7 +255,7 @@ def test_lift_check_accepts_singular_point():
 
 
 def test_lift_check_rejects_ordinary_point():
-    rej = lift_check(WORKED, worked_heights(-3), (0, 0, 1))
+    rej = lift_check(WORKED, worked_heights(-3), (0, 0, 1), gale_dual(WORKED))
     assert isinstance(rej, LiftReject)
     assert "not a flat" in rej.reason
 
@@ -352,6 +353,6 @@ def test_classify_points_survive_lift_check(u_e, jitter):
     u = worked_heights(F(u_e) + jitter)
     rep = classify(WORKED, u)
     for sp in rep.points:
-        cert = lift_check(WORKED, u, sp.location)
+        cert = lift_check(WORKED, u, sp.location, gale_dual(WORKED))
         assert isinstance(cert, Certificate)
         assert cert.flag == sp.certificate.flag

@@ -38,7 +38,6 @@ from tropsurf.matroid import (
     gale_dual,
     has_zero_column,
     is_defective,
-    is_flat,
     maximal_flat_chains,
     refine_to_accepted,
 )
@@ -58,13 +57,13 @@ def test_gale_dual_annihilates_configuration_matrix(cfg):
 
 def test_flats_examples():
     b = gale_dual(EX_THOMAS)
-    assert is_flat(b, ())
-    assert is_flat(b, range(7))
-    assert is_flat(b, (3,))
-    assert is_flat(b, (3, 4, 5, 6))
+    assert b.is_flat(())
+    assert b.is_flat(range(7))
+    assert b.is_flat((3,))
+    assert b.is_flat((3, 4, 5, 6))
     # the collinear circuit itself is not a flat: its Gale plane catches
     # a fourth column
-    assert not is_flat(b, (0, 1, 2))
+    assert not b.is_flat((0, 1, 2))
 
 
 def test_zero_gale_column_detects_cone_point():
@@ -88,7 +87,7 @@ def test_difference_sets_partition():
 
 
 def test_chains_case_c_collinear_circuit_with_triple():
-    case = chains_case(EX_THOMAS, flag_of_subsets(U_EX_THOMAS))
+    case = chains_case(EX_THOMAS, flag_of_subsets(U_EX_THOMAS), gale_dual(EX_THOMAS))
     assert isinstance(case, ChainsCase)
     assert case.case == "c"
     assert case.circuit == (0, 1, 2)
@@ -98,7 +97,7 @@ def test_chains_case_c_collinear_circuit_with_triple():
 
 
 def test_chains_case_b_planar_circuit_with_pair():
-    case = chains_case(WORKED, ((6,), (4, 5, 6), FULL7))
+    case = chains_case(WORKED, ((6,), (4, 5, 6), FULL7), gale_dual(WORKED))
     assert isinstance(case, ChainsCase)
     assert case.case == "b"
     assert case.circuit == (0, 1, 2, 3)
@@ -108,7 +107,7 @@ def test_chains_case_b_planar_circuit_with_pair():
 
 
 def test_chains_case_d_two_pairs():
-    case = chains_case(DEFECTIVE8, flag_of_subsets(U_DEFECTIVE8))
+    case = chains_case(DEFECTIVE8, flag_of_subsets(U_DEFECTIVE8), gale_dual(DEFECTIVE8))
     assert isinstance(case, ChainsCase)
     assert case.case == "d"
     assert case.circuit == (0, 1, 2)
@@ -124,18 +123,19 @@ def test_chains_case_d_two_pairs():
     ],
 )
 def test_chains_case_rejects(flag, clause_part):
-    res = chains_case(WORKED if flag[0] == (4, 5) else EX_THOMAS, flag)
+    cfg = WORKED if flag[0] == (4, 5) else EX_THOMAS
+    res = chains_case(cfg, flag, gale_dual(cfg))
     assert isinstance(res, ChainsReject)
     assert clause_part in res.clause
 
 
 def test_chains_case_requires_maximal_flag():
     with pytest.raises(ValueError, match="maximal flag"):
-        chains_case(EX_THOMAS, ((3,), FULL7))
+        chains_case(EX_THOMAS, ((3,), FULL7), gale_dual(EX_THOMAS))
 
 
 def test_enumerate_flags_pentatope():
-    flags = enumerate_flags_of_flats(PENTATOPE)
+    flags = enumerate_flags_of_flats(PENTATOPE, gale_dual(PENTATOPE))
     assert len(flags) == 1
     flag, case = flags[0]
     assert flag == ((0, 1, 2, 3, 4),)
@@ -144,7 +144,7 @@ def test_enumerate_flags_pentatope():
 
 
 def test_enumerate_flags_worked():
-    flags = enumerate_flags_of_flats(WORKED)
+    flags = enumerate_flags_of_flats(WORKED, gale_dual(WORKED))
     assert len(flags) == 33
     by_flag = {flag: case for flag, case in flags}
     assert by_flag[((6,), (4, 5, 6), FULL7)].pair == (4, 5)
@@ -182,16 +182,17 @@ def test_defective_collinear_second_circuit():
 
 
 def test_refine_trivial_flag_to_accepted():
-    found = refine_to_accepted(WORKED, (FULL7,))
+    b = gale_dual(WORKED)
+    found = refine_to_accepted(WORKED, (FULL7,), b)
     assert found is not None
     flag, case = found
     assert len(flag) == 3
     assert isinstance(case, ChainsCase)
-    assert chains_case(WORKED, flag) == case
+    assert chains_case(WORKED, flag, b) == case
 
 
 def test_refine_blocked_by_nonflat_level():
-    assert refine_to_accepted(EX_THOMAS, ((0, 1, 2), FULL7)) is None
+    assert refine_to_accepted(EX_THOMAS, ((0, 1, 2), FULL7), gale_dual(EX_THOMAS)) is None
 
 
 @settings(max_examples=80)
@@ -214,15 +215,15 @@ def test_bounds_hold_under_python_O():
     """The enumeration bound and the flag checks raise, not assert, so ``-O`` keeps them."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = """
-from tropsurf.matroid import all_flats, chains_case
+from tropsurf.matroid import GaleDual, all_flats, chains_case, gale_dual
 from tropsurf.subdivision import PointConfig
 try:
-    all_flats(((1,) * 11,))
+    all_flats(GaleDual(((1,) * 11,)))
 except ValueError:
     print("bound")
 cfg = PointConfig(points=((0, 0, 0), (0, 0, 1), (0, 0, 2), (-1, -1, 0), (0, 1, 0), (1, 0, 0), (2, 1, 1)))
 try:
-    chains_case(cfg, ((3,), (3,), tuple(range(7))))
+    chains_case(cfg, ((3,), (3,), tuple(range(7))), gale_dual(cfg))
 except ValueError:
     print("flag")
 """
@@ -338,10 +339,10 @@ def test_closure_oracle_matches_reference(b):
     for r in range(s + 1):
         for subset in combinations(range(s), r):
             assert oracle.closure(subset) == ref.closure(subset)
-            assert is_flat(oracle, subset) == ref.is_flat(subset)
-    assert all_flats(b) == ref.flats()
+            assert oracle.is_flat(subset) == ref.is_flat(subset)
+    assert all_flats(oracle) == ref.flats()
     if s >= 5:
-        assert maximal_flat_chains(b) == ref.chains()
+        assert maximal_flat_chains(oracle) == ref.chains()
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +370,7 @@ def _ref_refine(cfg, flag):
         if level_idx == len(diffs):
             if len(built) != target:
                 return None
-            case = chains_case(cfg, tuple(built))
+            case = chains_case(cfg, tuple(built), gale_dual(cfg))
             return (tuple(built), case) if isinstance(case, ChainsCase) else None
         if len(built) >= target:
             return None
@@ -417,7 +418,7 @@ def _boundary_cases():
 
 def test_refine_order_matches_partition_search_on_boundary_flags():
     for cfg, flag in _boundary_cases():
-        assert refine_to_accepted(cfg, flag) == _ref_refine(cfg, flag), (cfg, flag)
+        assert refine_to_accepted(cfg, flag, gale_dual(cfg)) == _ref_refine(cfg, flag), (cfg, flag)
 
 
 @settings(max_examples=40, deadline=None)
@@ -427,4 +428,4 @@ def test_refine_order_matches_partition_search_on_boundary_flags():
 )
 def test_refine_order_matches_partition_search_on_random_heights(cfg, heights):
     flag = flag_of_subsets(heights)
-    assert refine_to_accepted(cfg, flag) == _ref_refine(cfg, flag)
+    assert refine_to_accepted(cfg, flag, gale_dual(cfg)) == _ref_refine(cfg, flag)

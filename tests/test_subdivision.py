@@ -43,7 +43,7 @@ SIMPLEX = PointConfig(points=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 def test_simplex_trivial_subdivision():
     sd = regular_subdivision(SIMPLEX, (0, 0, 0, 0))
     assert [c.marked for c in sd.cells] == [(0, 1, 2, 3)]
-    assert sd.codim == 0
+    assert sd.dim_lineality == 0
 
 
 def test_ex_thomas_cells():
@@ -55,7 +55,7 @@ def test_ex_thomas_cells():
         (0, 1, 2, 5, 6),
         (0, 4, 5, 6),
     ]
-    assert sd.codim == 1
+    assert sd.dim_lineality == 1
     # the z-axis circuit {a, b, c} sits in four of the five cells
     assert sum(1 for c in sd.cells if {0, 1, 2} <= set(c.marked)) == 4
 
@@ -69,7 +69,7 @@ def test_defective8_cells():
         (0, 1, 2, 4, 7),
         (0, 1, 2, 5, 6),
     ]
-    assert sd.codim == 1
+    assert sd.dim_lineality == 1
 
 
 def test_marked_points_may_outnumber_vertices():
@@ -91,7 +91,7 @@ def test_marked_points_may_outnumber_vertices():
     ],
 )
 def test_secondary_codim(cfg, u, codim):
-    assert regular_subdivision(cfg, u).codim == codim
+    assert regular_subdivision(cfg, u).dim_lineality == codim
 
 
 def test_extract_circuit_collinear():
@@ -197,7 +197,7 @@ def test_subdivision_invariant_under_affine_height_shift(const, linear):
     ]
     shifted = regular_subdivision(EX_THOMAS, shifted_u)
     assert [c.marked for c in shifted.cells] == [c.marked for c in base.cells]
-    assert shifted.codim == base.codim
+    assert shifted.dim_lineality == base.dim_lineality
 
 
 @settings(max_examples=40)

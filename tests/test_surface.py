@@ -6,16 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.frozen import (
+    B12,
+    CODIM2,
+    DEFECTIVE8,
     EX_QUAD,
     EX_THOMAS,
     PENTATOPE,
     TETRA5,
+    TOY_D,
+    TRAPEZE,
     U_EX_THOMAS,
     WORKED,
     worked_heights,
 )
+from tropsurf.linalg import AffineSolution, Infeasible
 from tropsurf.subdivision import MarkedCell, PointConfig, regular_subdivision
 from tropsurf.surface import (
+    _agreement,
     build_complex,
     dual_vertex,
     render_off,
@@ -157,3 +164,72 @@ def test_duality_orthogonality(u):
             q = EX_THOMAS.points[j]
             dot = sum((a - b) * (F(mq) - F(mb)) for a, b, mq, mb in zip(v1, v2, q, base))
             assert dot == 0, f"edge {edge.dual_face} not orthogonal to its dual face"
+
+
+# ---------------------------------------------------------------------------
+# the equal-terms system against every pairwise equation, solved in Fractions
+
+
+def _ref_solve(rows, rhs):
+    """``None`` if ``rows @ p = rhs`` is inconsistent, else the solution with
+    every free coordinate 0 and one kernel vector per free coordinate (that
+    coordinate 1), both read off the reduced row echelon form.
+    """
+    aug = [[F(x) for x in row] + [F(v)] for row, v in zip(rows, rhs)]
+    pivots: list[int] = []
+    for c in range(3):
+        r = len(pivots)
+        k = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if k is None:
+            continue
+        aug[r], aug[k] = aug[k], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(row[3] != 0 for row in aug[len(pivots):]):
+        return None
+    particular = [F(0)] * 3
+    for r, c in enumerate(pivots):
+        particular[c] = aug[r][3]
+    kernel = []
+    for free in (c for c in range(3) if c not in pivots):
+        v = [F(0)] * 3
+        v[free] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -aug[r][free]
+        kernel.append(tuple(v))
+    return tuple(particular), tuple(kernel)
+
+
+@st.composite
+def _agreement_cases(draw):
+    cfg = draw(st.sampled_from([EX_THOMAS, WORKED, TOY_D, TRAPEZE, B12, DEFECTIVE8, CODIM2, PENTATOPE, TETRA5]))
+    noise = st.fractions(-5, 5, max_denominator=4)
+    if draw(st.booleans()):
+        # terms that mostly agree at a point p, so that more systems are consistent
+        p = draw(st.tuples(noise, noise, noise))
+        noise = st.sampled_from([F(0), F(0), F(0), F(1), F(-1, 2)])
+    else:
+        p = (0, 0, 0)
+    heights = [draw(noise) - sum(m * x for m, x in zip(pt, p)) for pt in cfg.points]
+    group = st.lists(st.integers(0, cfg.size - 1), min_size=1, max_size=5, unique=True)
+    first = draw(st.lists(st.integers(0, cfg.size - 1), min_size=2, max_size=5, unique=True))
+    return cfg, tuple(heights), [first, *draw(st.lists(group, max_size=3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_agreement_cases())
+def test_agreement_matches_every_pairwise_equation(case):
+    cfg, heights, groups = case
+    pairs = [(i, j) for g in groups for x, i in enumerate(g) for j in g[x + 1:]]
+    rows = [[a - b for a, b in zip(cfg.points[i], cfg.points[j])] for i, j in pairs]
+    ref = _ref_solve(rows, [heights[j] - heights[i] for i, j in pairs])
+    sol = _agreement(cfg, heights, groups)
+    if ref is None:
+        assert isinstance(sol, Infeasible)
+    else:
+        assert isinstance(sol, AffineSolution)
+        assert (sol.particular, sol.kernel) == ref
