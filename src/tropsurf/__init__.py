@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from .catalogs import NoMatch, NormalizedForm, catalogs, normalize
+from .catalogs import NoMatch, NormalizedForm, normalize
 from .engine import (
     Certificate,
     LiftReject,
     Refusal,
     SingularityReport,
-    candidate_points,
     classify,
     eq_b114_distance,
     is_generic,
@@ -74,8 +73,6 @@ __all__ = [
     "SingularityReport",
     "UnimodularMap",
     "build_complex",
-    "candidate_points",
-    "catalogs",
     "chains_case",
     "classify",
     "classify_circuit",

@@ -342,7 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -8,13 +8,14 @@ the accepted ones into the local shapes (pentatope, tetrahedron, pyramid
 edge, trapeze, barycenter), and refuses non-generic inputs.
 
 Every candidate route, coincidence vertex and chain system is one
-`surface._agreement`: the points where the terms of some index groups
-agree.  Every flats test takes the command's one `matroid.GaleDual`.
-Lineality shifts, the closed-cell test and `_line_interval` (the t-interval
-of a line on which given height pairs stay ordered) read the terms
-u_i + m_i . p as integer numerators from `surface._scaled_terms`.  Apex
-heights and distances along the edge dual to a planar circuit are read off
-the circuit plane's normal, `lattice._plane_normal`.
+`surface._agreement`: the points where the terms of some index groups agree,
+found by one elimination, or ``None`` when they never agree.  Every flats
+test takes the command's one `matroid.GaleDual`.  Lineality shifts, the
+closed-cell test and `_line_interval` (the t-interval of a line on which
+given height pairs stay ordered) read the terms u_i + m_i . p as integer
+numerators from `surface._scaled_terms`.  Apex heights and distances along
+the edge dual to a planar circuit are read off the circuit plane's normal,
+`lattice._plane_normal`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Sequence
 from .catalogs import NoMatch, normalize
 from .lattice import CircuitType, LatticePoint, _plane_normal
 from .linalg import (
-    Infeasible,
     Vector,
     det2,
     det3,
@@ -187,7 +187,7 @@ def candidate_points(
     families: list[FamilyCandidate] = []
     for route, groups in routes:
         sol = _agreement(cfg, heights, [circuit.indices, *groups])
-        if isinstance(sol, Infeasible):
+        if sol is None:
             continue
         if sol.unique:
             p = sol.particular
@@ -638,7 +638,7 @@ def _coincidence_vertex(
     cell exists, and its virtual continuation when it does not.
     """
     sol = _agreement(cfg, u, [circuit.indices + extras])
-    if isinstance(sol, Infeasible) or not sol.unique:
+    if sol is None or not sol.unique:
         return None
     return sol.particular
 
@@ -847,7 +847,7 @@ def _chain_scan(
         if all(len(d) == 1 for d in diffs):
             continue  # no two terms are forced equal
         sol = _agreement(cfg, heights, diffs)
-        if isinstance(sol, Infeasible):
+        if sol is None:
             continue
         if sol.unique:
             p = sol.particular

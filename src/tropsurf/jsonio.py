@@ -87,6 +87,8 @@ def load_input_file(path: str) -> tuple[PointConfig, tuple[Fraction, ...] | None
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path} is not UTF-8 text: {exc}") from exc
     return load_input(raw)
 
 

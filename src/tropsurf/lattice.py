@@ -22,12 +22,12 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import (
-    AffineSolution,
     Vector,
     _extend,
     _gauss_jordan,
     det2,
     det3,
+    determinant,
     kernel_basis,
     mat,
     rank,
@@ -117,7 +117,7 @@ def _span_coordinates(points: Sequence[Vector], base: Vector, basis: Sequence[Ve
     coords = []
     for p in points:
         sol = solve_affine(m, vec_sub(p, base))
-        assert isinstance(sol, AffineSolution), "point outside claimed affine span"
+        assert sol is not None, "point outside claimed affine span"
         coords.append(sol.particular)
     return coords
 
@@ -481,8 +481,7 @@ class UnimodularMap:
     shift: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        pivots, d, _, sign = _gauss_jordan([list(r) for r in self.matrix])
-        det = sign * d if len(pivots) == len(self.matrix) else 0
+        det = determinant(self.matrix)
         if abs(det) != 1:
             raise ValueError(f"matrix determinant {det} is not +-1")
 

@@ -9,7 +9,9 @@ simplex of a hull and the Gale matroid's closures.  ``kernel_basis``,
 ``solve_affine`` and ``determinant`` share ``_gauss_jordan``, the same
 elimination carried on above each pivot: its integer rows over one common
 denominator are the reduced row echelon form, so a ``Fraction`` is built
-only for a returned vector.  No floats anywhere.
+only for a returned vector.  Each system is eliminated once: ``solve_affine``
+reads its solution and kernel off the reduction of ``[m | b]``, or returns
+``None``.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -141,9 +143,11 @@ def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, list[list[int]
     return pivots, d, rows, sign
 
 
-def _integer_kernel(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]:
-    """``d`` and ``d`` times the `kernel_basis` of the integer rows."""
-    pivots, d, reduced, _ = _gauss_jordan(rows)
+def _read_kernel(
+    rows: list[list[int]], pivots: list[int], d: int, reduced: list[list[int]], ncols: int
+) -> tuple[Vector, ...]:
+    """`kernel_basis` of the first ``ncols`` columns of integer ``rows``, read
+    off their `_gauss_jordan` ``pivots, d, reduced`` (no pivot at ``ncols``)."""
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -153,8 +157,8 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> tuple[int, list[list[i
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows), "kernel vector fails m @ v = 0"
-        basis.append(v)
-    return d, basis
+        basis.append(tuple(Fraction(x, d) for x in v))
+    return tuple(basis)
 
 
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
@@ -166,8 +170,9 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
     """
     if not m:
         return ()
-    d, basis = _integer_kernel([_integer_row(r) for r in m], len(m[0]))
-    return tuple(tuple(Fraction(x, d) for x in v) for v in basis)
+    rows = [_integer_row(r) for r in m]
+    pivots, d, reduced, _ = _gauss_jordan(rows)
+    return _read_kernel(rows, pivots, d, reduced, len(m[0]))
 
 
 @dataclass(frozen=True)
@@ -182,18 +187,8 @@ class AffineSolution:
         return not self.kernel
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    """Certificate that ``m @ x = b`` has no solution.
-
-    The witness ``y`` satisfies ``y @ m = 0`` and ``y . b != 0``.
-    """
-
-    witness: Vector
-
-
-def solve_affine(m: Matrix, b: Sequence[Fraction]) -> AffineSolution | Infeasible:
-    """Solve ``m @ x = b`` exactly; never raises on inconsistent systems.
+def solve_affine(m: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
+    """Solve ``m @ x = b`` exactly by one elimination of ``[m | b]``.
 
     Parameters
     ----------
@@ -206,10 +201,10 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]) -> AffineSolution | Infeasibl
     -------
     AffineSolution
         A particular solution, with every free variable 0, together with a
-        kernel basis, when consistent.
-    Infeasible
-        Otherwise, carrying a row-combination witness ``y`` with
-        ``y @ m = 0`` and ``y . b != 0``.
+        kernel basis, when consistent.  Both are read off the reduced rows:
+        the pivots of a consistent ``[m | b]`` are those of ``m``.
+    None
+        When the system is inconsistent (``b`` is outside the column span).
     """
     assert len(m) == len(b), "solve_affine: shape mismatch"
     if not m:
@@ -218,25 +213,23 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]) -> AffineSolution | Infeasibl
     rows = [_integer_row((*r, v)) for r, v in zip(m, b)]
     pivots, d, reduced, _ = _gauss_jordan(rows)
     if pivots and pivots[-1] == n:
-        # b is outside the column span, so some left kernel vector of the
-        # scaled rows meets it; undoing each row's scale keeps y @ m = 0
-        _, left = _integer_kernel(list(zip(*rows))[:n], len(rows))
-        y = next(y for y in left if sum(a * row[n] for a, row in zip(y, rows)) != 0)
-        scales = (lcm(*(x.denominator for x in (*r, v))) for r, v in zip(m, b))
-        return Infeasible(witness=tuple(Fraction(a * s) for a, s in zip(y, scales)))
+        return None
     x = [0] * n
     for r, c in enumerate(pivots):
         x[c] = reduced[r][n]
     assert all(
         sum(a * xi for a, xi in zip(row, x)) == d * row[n] for row in rows
     ), "particular solution check"
-    return AffineSolution(particular=tuple(Fraction(v, d) for v in x), kernel=kernel_basis(m))
+    return AffineSolution(
+        particular=tuple(Fraction(v, d) for v in x), kernel=_read_kernel(rows, pivots, d, reduced, n)
+    )
 
 
 def determinant(m: Matrix) -> Fraction:
     """Exact determinant: the last fraction-free pivot over the row scales."""
     n = len(m)
-    assert all(len(r) == n for r in m), "determinant: matrix not square"
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant: matrix not square")
     pivots, d, _, sign = _gauss_jordan([_integer_row(r) for r in m])
     if len(pivots) < n:
         return Fraction(0)

@@ -103,10 +103,8 @@ class GaleDual(tuple):
 
 def gale_dual(cfg: PointConfig) -> GaleDual:
     """Rows spanning the kernel of the configuration matrix."""
-    a = cfg.matrix_a
-    assert rank(a) == 4, "configuration matrix must have full rank"
-    rows = kernel_basis(a)
-    assert len(rows) == cfg.size - 4
+    rows = kernel_basis(cfg.matrix_a)
+    assert len(rows) == cfg.size - 4, "configuration matrix must have full rank"
     return GaleDual(mat(rows), cfg.size)
 
 
@@ -326,7 +324,8 @@ def maximal_flat_chains(b: GaleDual) -> tuple[Flag, ...]:
     rank(F) + d above F are those d covers up from F; a chain may skip
     ranks only as far as the ranks left above it allow.
     """
-    all_flats(b)  # enforces the enumeration bound
+    if b.size > ENUMERATION_BOUND:
+        raise ValueError(f"flat enumeration is bounded to {ENUMERATION_BOUND} points")
     target = b.size - 4
     full = tuple(range(b.size))
     chains: list[Flag] = []

@@ -13,7 +13,7 @@ outer normal its cell carries for it, so no hull is built here.
 intervals compare these, and build a ``Fraction`` only for a result.
 ``_agreement`` is the one system for "these terms agree": a dual vertex
 here, and every candidate route, coincidence vertex and chain system of the
-engine.
+engine.  It is one elimination, and ``None`` when the terms never agree.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import mul
 from typing import Sequence
 
 from .lattice import LatticePoint, _cycle_order
-from .linalg import AffineSolution, Infeasible, Vector, det3, solve_affine, vec, vec_sub
+from .linalg import AffineSolution, Vector, det3, solve_affine, vec, vec_sub
 from .subdivision import MarkedCell, MarkedSubdivision, PointConfig, regular_subdivision
 
 
@@ -99,11 +99,12 @@ class TropicalComplex:
 
 def _agreement(
     cfg: PointConfig, heights: Vector, groups: Sequence[Sequence[int]]
-) -> AffineSolution | Infeasible:
+) -> AffineSolution | None:
     """`solve_affine` for the points p where the terms u_i + m_i . p of each group agree.
 
     A group ``(i, j, k, ...)`` gives the rows ``m_i - m_j``, ``m_i - m_k``, ...
-    with right-hand sides ``u_j - u_i``, ``u_k - u_i``, ...
+    with right-hand sides ``u_j - u_i``, ``u_k - u_i``, ...; ``None`` when
+    no point makes them all agree.
     """
     pairs = [(g[0], j) for g in groups for j in g[1:]]
     rows = [tuple(a - b for a, b in zip(cfg.points[i], cfg.points[j])) for i, j in pairs]
@@ -113,7 +114,7 @@ def _agreement(
 def dual_vertex(cfg: PointConfig, u: Sequence, marked: Sequence[int]) -> Vector:
     """The point where all terms of a 3-dimensional cell's marked set agree."""
     sol = _agreement(cfg, cfg.heights_from(u), [marked])
-    assert isinstance(sol, AffineSolution), "cell system must be solvable"
+    assert sol is not None, "cell system must be solvable"
     assert sol.unique, "maximal cells must pin a single dual vertex"
     return sol.particular
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import sys
 from dataclasses import fields
 from itertools import product
 from math import gcd
@@ -8,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropsurf import catalogs as catalogs_module
 from tropsurf.catalogs import NoMatch, NormalizedForm, TetrahedronEntry, catalogs, normalize
 from tropsurf.lattice import (
     UnimodularMap,
@@ -50,7 +50,7 @@ def test_a2_interior_point_is_computed_once_per_entry(monkeypatch):
         calls.append(points)
         return interior_lattice_points(points)
 
-    monkeypatch.setattr(sys.modules["tropsurf.catalogs"], "interior_lattice_points", counted)
+    monkeypatch.setattr(catalogs_module, "interior_lattice_points", counted)
     fresh = [TetrahedronEntry(id=e.id, apex=e.apex, volume=e.volume) for e in CAT.a2]
     for entry, original in zip(fresh, CAT.a2):
         assert entry.interior_point == entry.interior_point == original.interior_point

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tropsurf import cli, engine, lattice, matroid, subdivision, surface
+from tropsurf import catalogs, cli, engine, lattice, linalg, matroid, subdivision, surface
 from tropsurf.cli import main, point_label
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -219,7 +219,6 @@ def test_singular_computes_the_radon_partition_three_times(capsys, monkeypatch):
         calls.append(points)
         return original(points)
 
-    catalogs = sys.modules["tropsurf.catalogs"]  # ``tropsurf.catalogs`` is also a function
     for module in (lattice, catalogs, engine, matroid, subdivision):
         monkeypatch.setattr(module, "radon_partition", counted, raising=False)
     code, out, _ = run(capsys, "singular", golden_input("tetra5_sheared"))
@@ -227,10 +226,39 @@ def test_singular_computes_the_radon_partition_three_times(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_solve_affine_reads_its_kernel_off_its_own_elimination(capsys, monkeypatch):
+    """No `kernel_basis` call comes from inside `solve_affine`: the kernel of
+    a consistent system is read off the one elimination of ``[m | b]``."""
+    calls = []
+    original = linalg.kernel_basis
+
+    def counted(m):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    code, _, _ = run(capsys, "singular", golden_input("saturated_n16"))
+    assert code == 0
+    assert "solve_affine" not in calls
+
+
 def test_missing_file_exit_2(capsys):
     code, out, err = run(capsys, "singular", "no_such_file.json")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_input_exit_2(capsys, tmp_path, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{}\x00")
+    code, out, err = run(capsys, "singular", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_invalid_json_exit_2(capsys, tmp_path):

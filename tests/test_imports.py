@@ -9,6 +9,7 @@ skipped).
 from __future__ import annotations
 
 import ast
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,12 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_export_hides_a_submodule():
+    """A name in ``tropsurf.__all__`` that is also a submodule binds the
+    export, not the module, on ``from tropsurf import <name>``."""
+    import tropsurf
+
+    submodules = {m.name for m in pkgutil.iter_modules(tropsurf.__path__)}
+    assert sorted(submodules & set(tropsurf.__all__)) == []

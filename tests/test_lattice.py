@@ -180,23 +180,26 @@ def test_unimodular_map_rejects_bad_determinant():
         UnimodularMap(matrix=((2, 0), (0, 1)), shift=(0, 0))
     with pytest.raises(ValueError, match="determinant 0 is not"):
         UnimodularMap(matrix=((1, 2), (2, 4)), shift=(0, 0))
+    with pytest.raises(ValueError, match="not square"):
+        UnimodularMap(matrix=((1, 0, 0), (0, 1, 0)), shift=(0, 0))
 
 
 def test_unimodular_map_check_holds_under_python_O():
     """The determinant check raises, not asserts, so ``-O`` keeps it."""
     script = """
 from tropsurf.lattice import UnimodularMap
-try:
-    UnimodularMap(((2, 0), (0, 1)), (0, 0))
-except ValueError:
-    print("rejected")
+for matrix in (((2, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))):
+    try:
+        UnimodularMap(matrix, (0, 0))
+    except ValueError:
+        print("rejected")
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["rejected"]
+    assert done.stdout.split() == ["rejected", "rejected"]
 
 
 def test_identity_map_is_identity():

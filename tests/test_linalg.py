@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropsurf import linalg
 from tropsurf.linalg import (
     AffineSolution,
-    Infeasible,
     det2,
     det3,
     determinant,
-    dot,
     kernel_basis,
     mat,
     mat_vec,
@@ -69,12 +68,29 @@ def test_solve_identity():
 
 
 def test_solve_infeasible_with_witness():
-    sol = solve_affine(mat([[0]]), vec([F(1)]))
-    assert isinstance(sol, Infeasible)
-    w = sol.witness
-    # the witness certifies infeasibility: w.M = 0 but w.b != 0
-    assert dot(w, vec([F(0)])) == 0
-    assert dot(w, vec([F(1)])) != 0
+    assert solve_affine(mat([[0]]), vec([F(1)])) is None
+    # infeasible: the reference elimination of [m | b] has a pivot in b's column
+    assert reference_rref([[F(0), F(1)]])[1] == [1]
+
+
+@pytest.mark.parametrize(
+    "rows, b",
+    [
+        ([[1, 2, 0], [2, 4, 1]], [F(1), F(3)]),  # consistent, one free column
+        ([[1, 2], [2, 4]], [F(1), F(3)]),  # inconsistent
+    ],
+)
+def test_solve_affine_eliminates_once(rows, b, monkeypatch):
+    calls = []
+    original = linalg._gauss_jordan
+
+    def counted(r):
+        calls.append(r)
+        return original(r)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    solve_affine(mat(rows), vec(b))
+    assert len(calls) == 1
 
 
 def test_solve_underdetermined_kernel():
@@ -127,11 +143,10 @@ def test_solve_affine_solves(rows):
     m = mat(rows)
     b = vec([F(1), F(0), F(-2)])
     sol = solve_affine(m, b)
-    if isinstance(sol, Infeasible):
-        # witness combination of the rows is zero while hitting b nontrivially
-        combo = mat_vec(transpose(m), sol.witness)
-        assert all(x == 0 for x in combo)
-        assert dot(sol.witness, b) != 0
+    if sol is None:
+        # b is outside the column span: the reference puts a pivot in its column
+        _, pivots, _ = reference_rref([list(r) + [v] for r, v in zip(m, b)])
+        assert len(m[0]) in pivots
     else:
         assert mat_vec(m, sol.particular) == b
         for k in sol.kernel:
@@ -251,9 +266,7 @@ def test_solve_affine_matches_reference(system):
     rows, pivots, _ = reference_rref([list(r) + [v] for r, v in zip(m, b)])
     sol = solve_affine(m, b)
     if n in pivots:
-        assert isinstance(sol, Infeasible)
-        assert all(x == 0 for x in mat_vec(transpose(m), sol.witness))
-        assert dot(sol.witness, b) != 0
+        assert sol is None
         return
     assert isinstance(sol, AffineSolution)
     x = [F(0)] * n

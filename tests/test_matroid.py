@@ -24,6 +24,7 @@ from tests.frozen import (
     WORKED_SWEEP,
     worked_heights,
 )
+from tropsurf import matroid
 from tropsurf.lattice import CircuitType
 from tropsurf.linalg import mat, vec_scale
 from tropsurf.matroid import (
@@ -160,6 +161,16 @@ def test_maximal_chains_are_sorted_and_nested():
         assert chain[-1] == FULL7
         for prev, cur in zip(chain, chain[1:]):
             assert set(prev) < set(cur)
+
+
+def test_maximal_chains_check_the_bound_without_listing_flats(monkeypatch):
+    def listed(b):
+        raise AssertionError("all_flats called")
+
+    monkeypatch.setattr(matroid, "all_flats", listed)
+    with pytest.raises(ValueError, match="bounded to 10 points"):
+        maximal_flat_chains(GaleDual(((1,) * 11,)))
+    assert len(maximal_flat_chains(gale_dual(WORKED))) > 0
 
 
 def test_defective_height_class():
