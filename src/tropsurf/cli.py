@@ -277,11 +277,25 @@ def _cmd_render(args: argparse.Namespace) -> int:
         bound=args.bound,
     )
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidConfig(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _bound(text: str) -> int:
+    """A clipping box half-width: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="OFF rendering of the surface")
     p.add_argument("input", help="JSON file with points and heights")
-    p.add_argument("--bound", type=int, default=20, help="clipping box half-width")
+    p.add_argument("--bound", type=_bound, default=20, help="clipping box half-width (at least 1)")
     p.add_argument("-o", "--output", help="write the OFF text to this file")
     p.set_defaults(func=_cmd_render)
 
@@ -340,9 +354,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

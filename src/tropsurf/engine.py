@@ -10,12 +10,14 @@ edge, trapeze, barycenter), and refuses non-generic inputs.
 Every candidate route, coincidence vertex and chain system is one
 `surface._agreement`: the points where the terms of some index groups agree,
 found by one elimination, or ``None`` when they never agree.  Every flats
-test takes the command's one `matroid.GaleDual`.  Lineality shifts, the
-closed-cell test and `_line_interval` (the t-interval of a line on which
-given height pairs stay ordered) read the terms u_i + m_i . p as integer
-numerators from `surface._scaled_terms`.  Apex heights and distances along
-the edge dual to a planar circuit are read off the circuit plane's normal,
-`lattice._plane_normal`.
+test takes the command's one `matroid.GaleDual`.  The family scan and the
+chain scan decide a point with `_is_singular` alone; `lift_check` runs the
+same test and also reports the first bad level and the shape.  Lineality
+shifts, the closed-cell test and `_line_interval` (the t-interval of a line
+on which given height pairs stay ordered) read the terms u_i + m_i . p as
+integer numerators from `surface._scaled_terms`.  Apex heights and
+distances along the edge dual to a planar circuit are read off the circuit
+plane's normal, `lattice._plane_normal`.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ def shifted_heights(cfg: PointConfig, u: Sequence, p: Sequence) -> Vector:
     """The heights u + (m . p)_m, whose flag decides whether p is singular."""
     terms, d = _scaled_terms(cfg, u, p)
     return tuple(Fraction(t, d) for t in terms)
+
+
+def _is_singular(cfg: PointConfig, u: Sequence, p: Sequence, b: GaleDual) -> bool:
+    """Whether every level of the flag of p's shifted heights is a flat of ``b``."""
+    return all_levels_flats(b, flag_of_subsets(shifted_heights(cfg, u, p))) is None
 
 
 @dataclass(frozen=True)
@@ -400,10 +407,7 @@ def _family_scan(
     """
     if len(fam.directions) != 1:
         samples = [fam.base] + [vec_add(fam.base, d) for d in fam.directions[:2]]
-        hits = sum(
-            isinstance(lift_check(cfg, u, p, b), Certificate) for p in samples
-        )
-        return hits >= 2, ()
+        return sum(_is_singular(cfg, u, p, b) for p in samples) >= 2, ()
     d = fam.directions[0]
     lo, hi = fam.lo, fam.hi
     alpha, da = _scaled_terms(cfg, u, fam.base)
@@ -431,8 +435,7 @@ def _family_scan(
         samples.extend((a + z) / 2 for a, z in zip(ordered, ordered[1:]))
 
     def singular_at(t: Fraction) -> bool:
-        p = vec_add(fam.base, vec_scale(t, d))
-        return isinstance(lift_check(cfg, u, p, b), Certificate)
+        return _is_singular(cfg, u, vec_add(fam.base, vec_scale(t, d)), b)
 
     if any(singular_at(t) for t in samples):
         return True, ()
@@ -851,8 +854,7 @@ def _chain_scan(
             continue
         if sol.unique:
             p = sol.particular
-            shifted = shifted_heights(cfg, heights, p)
-            if all_levels_flats(b, flag_of_subsets(shifted)) is None:
+            if _is_singular(cfg, heights, p, b):
                 points.add(p)
                 pieces.setdefault(("point", p), FamilyPiece(dim=0, base=p))
             continue
@@ -866,14 +868,11 @@ def _chain_scan(
         lo, hi = interval
         if lo is not None and lo == hi:
             p = vec_add(sol.particular, vec_scale(lo, d))
-            shifted = shifted_heights(cfg, heights, p)
-            if all_levels_flats(b, flag_of_subsets(shifted)) is None:
+            if _is_singular(cfg, heights, p, b):
                 pieces.setdefault(("point", p), FamilyPiece(dim=0, base=p))
             continue
-        mid = _interval_sample(lo, hi)
-        probe = vec_add(sol.particular, vec_scale(mid, d))
-        shifted = shifted_heights(cfg, heights, probe)
-        if all_levels_flats(b, flag_of_subsets(shifted)) is not None:
+        probe = vec_add(sol.particular, vec_scale(_interval_sample(lo, hi), d))
+        if not _is_singular(cfg, heights, probe, b):
             continue
         dprim = primitive(d)
         if lo is None and hi is None:

@@ -89,6 +89,8 @@ def load_input_file(path: str) -> tuple[PointConfig, tuple[Fraction, ...] | None
         raise InvalidConfig(f"invalid JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InvalidConfig(f"cannot read {path}: {exc}") from exc
     return load_input(raw)
 
 

@@ -12,10 +12,13 @@ oracle for the matroid of its columns.  ``closure(S)`` collects the pivot
 rows of S's integer columns with `linalg._span_basis` and runs one
 `linalg._reduce` per other column, memoised for the life of the object.
 Every function here that asks about flats takes the object that the
-command made, never a bare matrix: flats are closures, the lattice of
-flats is generated from cl(empty set) by the covers cl(F + e), and maximal
-chains walk those covers (the flags of flats of the Bergman fan;
-Ardila-Klivans 2006).
+command made, never a bare matrix: flats are closures, and the lattice of
+flats is generated from cl(empty set) by the covers cl(F + e).  One walker,
+`_chains`, climbs those covers to list the chains of flats through the
+levels of a given flag (the flags of flats of the Bergman fan;
+Ardila-Klivans 2006): `maximal_flat_chains` takes every maximal chain, and
+`refine_to_accepted` the first refinement of a flag that the four-shape
+classifier accepts.
 """
 
 from __future__ import annotations
@@ -317,39 +320,53 @@ def all_flats(b: GaleDual) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((f for f in found if f), key=lambda f: (len(f), f)))
 
 
-def maximal_flat_chains(b: GaleDual) -> tuple[Flag, ...]:
-    """All chains of nonempty flats of length s - 4 ending at the full set.
+def _chains(b: GaleDual, flag: Flag, length: int) -> Iterator[Flag]:
+    """Every chain of ``length`` nonempty flats through each level of ``flag``.
 
-    Ranks rise strictly along a chain of flats, and the flats of rank
-    rank(F) + d above F are those d covers up from F; a chain may skip
-    ranks only as far as the ranks left above it allow.
+    The last level of ``flag`` is the full set.  Ranks rise strictly along
+    a chain of flats, and the flats of rank r + d above a flat F of rank r
+    are those d covers up from F.  So from F the next level is a flat G
+    with F < G <= T, T the next level of ``flag`` not yet reached, found d
+    covers up, where d leaves one rank for each level still to add.  A
+    nonempty cl(empty set) may be the first level.  Each step tries its
+    options by size, then lexicographically.
     """
-    if b.size > ENUMERATION_BOUND:
-        raise ValueError(f"flat enumeration is bounded to {ENUMERATION_BOUND} points")
-    target = b.size - 4
-    full = tuple(range(b.size))
-    chains: list[Flag] = []
+    if length < 1:
+        return
+    inside = [set(level) for level in flag]
+    chain: list[tuple[int, ...]] = []
 
-    def extend(chain: list[tuple[int, ...]], flat: tuple[int, ...], flat_rank: int) -> None:
-        left = target - len(chain)
-        if left == 0:
-            if flat == full:
-                chains.append(tuple(chain))
+    def above(flat: tuple[int, ...], most: int) -> list[tuple[tuple[int, ...], int]]:
+        """The flats 1 to ``most`` covers up from ``flat``, each with its distance."""
+        found, layer = [], {flat}
+        for d in range(1, most + 1):
+            layer = {c for f in layer for c in b.covers(f)}
+            found += ((g, d) for g in layer)
+        return sorted(found, key=lambda gd: (len(gd[0]), gd[0]))
+
+    def walk(flat: tuple[int, ...], flat_rank: int, k: int) -> Iterator[Flag]:
+        left = length - len(chain)
+        if left == 1:  # the last level is the full set, and F is below it
+            if k == len(flag) - 1:
+                yield (*chain, flag[-1])
             return
-        above = {flat}
-        for d in range(1, b.rank - flat_rank - left + 2):
-            above = {c for f in above for c in b.covers(f)}
-            for nxt in above:
-                chain.append(nxt)
-                extend(chain, nxt, flat_rank + d)
+        options = above(flat, b.rank - flat_rank - left + 1)
+        if not chain and flat:
+            options = [(flat, 0), *options]
+        for g, d in options:
+            if inside[k].issuperset(g):
+                chain.append(g)
+                yield from walk(g, flat_rank + d, k + (g == flag[k]))
                 chain.pop()
 
-    if target >= 1:
-        bottom = b.closure(())
-        if bottom:
-            extend([bottom], bottom, 0)
-        extend([], bottom, 0)
-    return tuple(sorted(chains))
+    yield from walk(b.closure(()), 0, 0)
+
+
+def maximal_flat_chains(b: GaleDual) -> tuple[Flag, ...]:
+    """All chains of nonempty flats of length s - 4 ending at the full set."""
+    if b.size > ENUMERATION_BOUND:
+        raise ValueError(f"flat enumeration is bounded to {ENUMERATION_BOUND} points")
+    return tuple(sorted(_chains(b, (tuple(range(b.size)),), b.size - 4)))
 
 
 def enumerate_flags_of_flats(cfg: PointConfig, b: GaleDual) -> tuple[tuple[Flag, ChainsCase], ...]:
@@ -389,57 +406,12 @@ def is_defective(cfg: PointConfig, flag: Flag) -> tuple[bool, Vector | None]:
     raise AssertionError("rank deficit without a non-constant intersection witness")
 
 
-def _flat_runs(
-    oracle: GaleDual, below: tuple[int, ...], block: tuple[int, ...], room: int
-) -> Iterator[list[tuple[int, ...]]]:
-    """Splittings of ``block`` into at most ``room`` ordered sub-blocks whose
-    cumulative unions with ``below`` are all flats, as the list of those unions.
-
-    Blocks are taken in the order of the plain ordered-partition enumeration
-    (first block by size, then lexicographically), and a first block whose
-    union is not a flat cuts off every partition that starts with it.
-    """
-    if not block:
-        yield []
-        return
-    if room == 0:
-        return
-    for r in range(1, len(block) + 1):
-        for first in combinations(block, r):
-            level = tuple(sorted(below + first))
-            if not oracle.is_flat(level):
-                continue
-            rest = tuple(i for i in block if i not in first)
-            for tail in _flat_runs(oracle, level, rest, room - 1):
-                yield [level] + tail
-
-
 def refine_to_accepted(cfg: PointConfig, flag: Flag, b: GaleDual) -> tuple[Flag, ChainsCase] | None:
-    """A maximal refinement of a flag of flats accepted by the classifier.
-
-    Refinement splits each difference set into an ordered run of sub-levels
-    (all cumulative sets must be flats).  Returns the first accepted maximal
-    refinement, or None.
+    """The first maximal chain of flats through every level of ``flag`` that
+    the classifier accepts, with its case, or None.
     """
-    target = cfg.size - 4
-    diffs = difference_sets(flag)
-
-    def search(level_idx: int, built: list[tuple[int, ...]]) -> tuple[Flag, ChainsCase] | None:
-        if level_idx == len(diffs):
-            if len(built) != target:
-                return None
-            candidate = tuple(built)
-            case = chains_case(cfg, candidate, b)
-            if isinstance(case, ChainsCase):
-                return candidate, case
-            return None
-        if len(built) >= target:
-            return None
-        below = built[-1] if built else ()
-        for levels in _flat_runs(b, below, diffs[level_idx], target - len(built)):
-            found = search(level_idx + 1, built + levels)
-            if found is not None:
-                return found
-        return None
-
-    return search(0, [])
+    for chain in _chains(b, flag, cfg.size - 4):
+        case = chains_case(cfg, chain, b)
+        if isinstance(case, ChainsCase):
+            return chain, case
+    return None

@@ -261,6 +261,40 @@ def test_unreadable_input_exit_2(capsys, tmp_path, kind):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_render_into_missing_directory_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "render", EX_THOMAS, "-o", str(tmp_path / "no_dir" / "s.off"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_render_bound_below_one_exit_2(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", EX_THOMAS, "--bound", bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound" in captured.err
+
+
+def test_closed_stdout_is_an_internal_error(capsys, monkeypatch):
+    """A stdout that cannot be written is not bad input: exit 3, not 2."""
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["flags", EX_THOMAS])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == ["internal error: BrokenPipeError: [Errno 32] Broken pipe"]
+
+
 def test_invalid_json_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -271,6 +271,25 @@ def test_defective_heights_refused():
     assert is_generic(EX_THOMAS, U_EX_THOMAS)
 
 
+def test_family_scan_decides_points_without_lift_check(monkeypatch):
+    """The family scan needs only the flats test: a refusal for a
+    positive-dimensional family makes no `lift_check` call."""
+    from tropsurf import engine
+
+    calls = []
+    original = engine.lift_check
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "lift_check", counted)
+    rep = classify(DEFECTIVE8, U_DEFECTIVE8)
+    (refusal,) = rep.refusals
+    assert "positive-dimensional family" in refusal.reason
+    assert calls == []
+
+
 def test_codim_two_refused_by_classify():
     rep = classify(CODIM2, U_CODIM2)
     assert rep.codim == 2

@@ -432,9 +432,22 @@ def test_refine_order_matches_partition_search_on_boundary_flags():
         assert refine_to_accepted(cfg, flag, gale_dual(cfg)) == _ref_refine(cfg, flag), (cfg, flag)
 
 
+# six coplanar points and an apex: the apex lies in no affine relation, so
+# its Gale column is a loop and cl(empty set) is not empty
+PLANE6_APEX = PointConfig(
+    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1))
+)
+
+
+def test_plane6_apex_has_a_loop():
+    b = gale_dual(PLANE6_APEX)
+    assert has_zero_column(b) == 6
+    assert b.closure(()) == (6,)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([WORKED, EX_THOMAS]),
+    st.sampled_from([WORKED, EX_THOMAS, PLANE6_APEX]),
     st.lists(st.integers(-2, 2), min_size=7, max_size=7),
 )
 def test_refine_order_matches_partition_search_on_random_heights(cfg, heights):
