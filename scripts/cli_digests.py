@@ -14,7 +14,7 @@ blocks of ``perfbench/corpus.py``; the generated inputs are written to a
 temporary directory.  Input paths given as arguments replace the corpus.
 Every input runs through ``subdivide``, ``surface``, ``singular``,
 ``singular --certificate`` and ``render``, then ``oracle`` when it has at
-most 9 points and ``flags`` when it has at most 8.
+most ``ENUMERATION_BOUND`` (10) points and ``flags`` when it has at most 8.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 from tropsurf.cli import main as cli_main
+from tropsurf.matroid import ENUMERATION_BOUND
 
 ROOT = Path(__file__).resolve().parent.parent
 LARGE_BLOCKS = 20
@@ -36,7 +37,7 @@ COMMANDS = (("subdivide",), ("surface",), ("singular",), ("singular", "--certifi
 
 
 def commands_for(n: int) -> list[tuple[str, ...]]:
-    return [*COMMANDS, *([("oracle",)] if n <= 9 else []), *([("flags",)] if n <= 8 else [])]
+    return [*COMMANDS, *([("oracle",)] if n <= ENUMERATION_BOUND else []), *([("flags",)] if n <= 8 else [])]
 
 
 def load_corpus():

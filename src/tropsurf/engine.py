@@ -30,6 +30,7 @@ from typing import Sequence
 from .catalogs import NoMatch, normalize
 from .lattice import CircuitType, LatticePoint, _plane_normal
 from .linalg import (
+    AffineSolution,
     Vector,
     det2,
     det3,
@@ -837,7 +838,14 @@ def _chain_scan(
     cfg: PointConfig, u: Sequence
 ) -> tuple[tuple[Vector, ...], tuple[FamilyPiece, ...]]:
     """`oracle_singular_points` and `singular_family` from one pass over the
-    maximal chains of flats, solving each chain's equal-height system once.
+    maximal chains of flats, with one solve per distinct equal-height system.
+
+    A chain's system is fixed by its difference sets of two or more points
+    (a singleton forces no equality), so chains with the same sorted
+    groups share one `_agreement`: `solve_affine` reads its answer off the
+    reduced row echelon form, which depends on the row space alone.  Each
+    point is tested once; a line system still clips to each chain's own
+    ordering steps.  Both memos live for this call only.
     """
     heights = cfg.heights_from(u)
     b = gale_dual(cfg)
@@ -845,16 +853,27 @@ def _chain_scan(
         return (), ()
     points: set[Vector] = set()
     pieces: dict[tuple, FamilyPiece] = {}
+    systems: dict[tuple[tuple[int, ...], ...], AffineSolution | None] = {}
+    singular: dict[Vector, bool] = {}
+
+    def is_singular(p: Vector) -> bool:
+        if p not in singular:
+            singular[p] = _is_singular(cfg, heights, p, b)
+        return singular[p]
+
     for chain in maximal_flat_chains(b):
         diffs = difference_sets(chain)
-        if all(len(d) == 1 for d in diffs):
+        groups = tuple(sorted(d for d in diffs if len(d) > 1))
+        if not groups:
             continue  # no two terms are forced equal
-        sol = _agreement(cfg, heights, diffs)
+        if groups not in systems:
+            systems[groups] = _agreement(cfg, heights, groups)
+        sol = systems[groups]
         if sol is None:
             continue
         if sol.unique:
             p = sol.particular
-            if _is_singular(cfg, heights, p, b):
+            if is_singular(p):
                 points.add(p)
                 pieces.setdefault(("point", p), FamilyPiece(dim=0, base=p))
             continue
@@ -868,11 +887,11 @@ def _chain_scan(
         lo, hi = interval
         if lo is not None and lo == hi:
             p = vec_add(sol.particular, vec_scale(lo, d))
-            if _is_singular(cfg, heights, p, b):
+            if is_singular(p):
                 pieces.setdefault(("point", p), FamilyPiece(dim=0, base=p))
             continue
         probe = vec_add(sol.particular, vec_scale(_interval_sample(lo, hi), d))
-        if not _is_singular(cfg, heights, probe, b):
+        if not is_singular(probe):
             continue
         dprim = primitive(d)
         if lo is None and hi is None:

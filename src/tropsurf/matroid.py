@@ -13,7 +13,10 @@ rows of S's integer columns with `linalg._span_basis` and runs one
 `linalg._reduce` per other column, memoised for the life of the object.
 Every function here that asks about flats takes the object that the
 command made, never a bare matrix: flats are closures, and the lattice of
-flats is generated from cl(empty set) by the covers cl(F + e).  One walker,
+flats is generated from cl(empty set) by the covers cl(F + e).  The same
+object also memoises `chains_case`'s circuit type per top difference set,
+keyed by its points, so a command that classifies many flags pays one
+`classify_circuit` for each distinct top set.  One walker,
 `_chains`, climbs those covers to list the chains of flats through the
 levels of a given flag (the flags of flats of the Bergman fan;
 Ardila-Klivans 2006): `maximal_flat_chains` takes every maximal chain, and
@@ -28,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .lattice import CircuitType, NotACircuit, _plane_normal, affine_dim, classify_circuit
+from .lattice import CircuitType, LatticePoint, NotACircuit, _plane_normal, affine_dim, classify_circuit
 from .linalg import (
     Vector,
     _integer_row,
@@ -55,7 +58,10 @@ class GaleDual(tuple):
     with each row multiplied by the lcm of its denominators, which keeps
     every linear relation among the columns, so the columns are integer
     vectors.  Closures and covers are memoised by sorted index tuple for
-    the life of the object, never across objects.
+    the life of the object, never across objects.  A third memo holds the
+    `classify_circuit` outcome of each top difference set that
+    `chains_case` has met (``None`` for `NotACircuit`), keyed by its point
+    tuple, so an object reused with other points cannot answer wrongly.
     """
 
     def __new__(cls, rows: Iterable[Vector], size: int = 0) -> "GaleDual":
@@ -68,6 +74,7 @@ class GaleDual(tuple):
         self._columns = tuple(zip(*(_integer_row(r) for r in self))) or ((),) * self.size
         self._closures: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._covers: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._circuit_types: dict[tuple[LatticePoint, ...], CircuitType | None] = {}
         self.rank = len(_span_basis(self._columns))
 
     def closure(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -187,7 +194,8 @@ def chains_case(cfg: PointConfig, flag: Flag, b: GaleDual) -> ChainsCase | Chain
     Checks, in order: every level a flat, the top difference set a circuit of
     the right type, the lower difference-set pattern, and the geometric side
     conditions of the matched shape.  The first violated clause is reported.
-    ``b`` is the `gale_dual` of ``cfg``.
+    ``b`` is the `gale_dual` of ``cfg``; it memoises the circuit type of each
+    top difference set.
     """
     s = cfg.size
     if len(flag) != s - 4:
@@ -202,9 +210,14 @@ def chains_case(cfg: PointConfig, flag: Flag, b: GaleDual) -> ChainsCase | Chain
     if len(top) not in (3, 4, 5):
         return ChainsReject(clause=f"top difference set has size {len(top)}")
     top_pts = [cfg.points[i] for i in top]
-    try:
-        ctype = classify_circuit(top_pts)
-    except NotACircuit:
+    key = tuple(top_pts)
+    if key not in b._circuit_types:
+        try:
+            b._circuit_types[key] = classify_circuit(top_pts)
+        except NotACircuit:
+            b._circuit_types[key] = None
+    ctype = b._circuit_types[key]
+    if ctype is None:
         return ChainsReject(clause="top difference set is not a circuit")
 
     if len(top) == 5:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,13 @@ from tests.frozen import (
     WORKED_SWEEP,
     worked_heights,
 )
+from tests.test_acceptance import _randomized_config
+from tropsurf import matroid, surface
 from tropsurf.engine import (
     Certificate,
     LiftReject,
+    _chain_scan,
+    _is_singular,
     _line_interval,
     classify,
     eq_b114_distance,
@@ -39,9 +44,17 @@ from tropsurf.engine import (
     shifted_heights,
     singular_family,
 )
-from tropsurf.matroid import gale_dual
+from tropsurf.matroid import (
+    ChainsCase,
+    chains_case,
+    difference_sets,
+    enumerate_flags_of_flats,
+    gale_dual,
+    has_zero_column,
+    maximal_flat_chains,
+)
 from tropsurf.subdivision import InvalidConfig, PointConfig
-from tropsurf.surface import tropical_eval
+from tropsurf.surface import _agreement, tropical_eval
 
 F = Fraction
 
@@ -358,6 +371,86 @@ def test_singular_family_defective_segment():
     assert segment.dim == 1
     assert segment.endpoints == ((F(-1, 2), F(0), F(0)), (F(1), F(0), F(0)))
     assert not segment.unbounded
+
+
+def _counted(module, name, monkeypatch) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# (configuration, heights, distinct chain systems, distinct top sets, chains):
+# each chain is accepted as a flag of flats here, so the chain count is also
+# the number of accepted flags
+COMPUTE_ONCE = [
+    (DEFECTIVE8, U_DEFECTIVE8, 34, 18, 128),
+    (EX_THOMAS, U_EX_THOMAS, 19, 12, 28),
+    (CODIM2, U_CODIM2, 16, 11, 26),
+]
+
+
+@pytest.mark.parametrize("cfg, u, systems, tops, chains", COMPUTE_ONCE)
+def test_chain_enumeration_pays_once_per_distinct_system(monkeypatch, cfg, u, systems, tops, chains):
+    """One `solve_affine` per distinct equal-height system in the chain scan,
+    and one `classify_circuit` per distinct top set in the flag listing."""
+    solves = _counted(surface, "solve_affine", monkeypatch)
+    circuits = _counted(matroid, "classify_circuit", monkeypatch)
+    _chain_scan(cfg, u)
+    assert len(solves) == systems
+    flags = enumerate_flags_of_flats(cfg, gale_dual(cfg))
+    assert len(circuits) == tops
+    assert len(flags) == chains == len(maximal_flat_chains(gale_dual(cfg)))
+
+
+def _per_chain_reference(cfg, u):
+    """Oracle points and accepted flags with no memo shared between chains:
+    each chain gets a fresh Gale dual, its own `_agreement` on its difference
+    sets and its own `chains_case`."""
+    heights = cfg.heights_from(u)
+    loop = has_zero_column(gale_dual(cfg)) is not None
+    points, flags = set(), []
+    for chain in maximal_flat_chains(gale_dual(cfg)):
+        b = gale_dual(cfg)
+        case = chains_case(cfg, chain, b)
+        if isinstance(case, ChainsCase):
+            flags.append((chain, case))
+        diffs = difference_sets(chain)
+        if loop or all(len(d) == 1 for d in diffs):
+            continue
+        sol = _agreement(cfg, heights, diffs)
+        if sol is not None and sol.unique and _is_singular(cfg, heights, sol.particular, b):
+            points.add(sol.particular)
+    return tuple(sorted(points)), tuple(flags)
+
+
+def _differential_inputs():
+    frozen = [
+        (EX_THOMAS, U_EX_THOMAS),
+        (WORKED, worked_heights(-2)),
+        (WORKED, worked_heights(-3)),
+        (TOY_D, U_TOY_D),
+        (TRAPEZE, U_TRAPEZE),
+        (B12, U_B12),
+        (PENTATOPE, (0,) * 5),
+        (TETRA5, (0,) * 5),
+        (DEFECTIVE8, U_DEFECTIVE8),
+        (CODIM2, U_CODIM2),
+    ]
+    rng = random.Random(7)
+    return frozen + [_randomized_config(rng) for _ in range(16)]
+
+
+@pytest.mark.parametrize("cfg, u", _differential_inputs())
+def test_chain_memos_match_a_per_chain_reference(cfg, u):
+    points, flags = _per_chain_reference(cfg, u)
+    assert oracle_singular_points(cfg, u) == points
+    assert enumerate_flags_of_flats(cfg, gale_dual(cfg)) == flags
 
 
 # No deadline: at u_e + jitter = -7/2 one example takes 215-260 ms on a
