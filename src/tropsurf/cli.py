@@ -48,8 +48,13 @@ def point_label(i: int) -> str:
     return out
 
 
-def _labels(idxs: Sequence[int]) -> list[str]:
-    return [point_label(i) for i in idxs]
+def _names(cfg: PointConfig) -> tuple[str, ...]:
+    """The `point_label` of every point of ``cfg``: one table per command."""
+    return tuple(point_label(i) for i in range(cfg.size))
+
+
+def _labels(idxs: Sequence[int], names: Sequence[str]) -> list[str]:
+    return [names[i] for i in idxs]
 
 
 def _require_heights(heights: tuple[Fraction, ...] | None) -> tuple[Fraction, ...]:
@@ -58,9 +63,9 @@ def _require_heights(heights: tuple[Fraction, ...] | None) -> tuple[Fraction, ..
     return heights
 
 
-def _circuit_doc(circuit: Circuit) -> dict:
+def _circuit_doc(circuit: Circuit, names: Sequence[str]) -> dict:
     return {
-        "points": _labels(circuit.indices),
+        "points": _labels(circuit.indices, names),
         "type": circuit.circuit_type.value,
         "dim": circuit.dim,
         "dependence": [x for i, x in enumerate(circuit.dependence) if x != 0],
@@ -71,17 +76,19 @@ def _cmd_subdivide(args: argparse.Namespace) -> int:
     cfg, heights = load_input_file(args.input)
     u = _require_heights(heights)
     t = regular_subdivision(cfg, u)
+    names = _names(cfg)
     doc = {
         "codim": t.dim_lineality,
         "max_dimensional": is_maximal_dimensional_type(cfg, t),
         "cells": [
-            {"marked": _labels(c.marked), "vertices": _labels(c.vertices)} for c in t.cells
+            {"marked": _labels(c.marked, names), "vertices": _labels(c.vertices, names)}
+            for c in t.cells
         ],
     }
     if t.dim_lineality == 1:
         circuit = extract_circuit(cfg, t)
         assert isinstance(circuit, Circuit)
-        doc["circuit"] = _circuit_doc(circuit)
+        doc["circuit"] = _circuit_doc(circuit, names)
     sys.stdout.write(dumps(doc))
     return 0
 
@@ -90,14 +97,15 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     cfg, heights = load_input_file(args.input)
     u = _require_heights(heights)
     complex_ = build_complex(cfg, u)
+    names = _names(cfg)
     doc = {
         "vertices": [
-            {"cell": _labels(v.cell), "location": list(v.location)}
+            {"cell": _labels(v.cell, names), "location": list(v.location)}
             for v in complex_.vertices
         ],
         "edges": [
             {
-                "dual_face": _labels(e.dual_face),
+                "dual_face": _labels(e.dual_face, names),
                 "endpoints": list(e.endpoints),
                 "ray": list(e.ray) if e.ray is not None else None,
             }
@@ -105,7 +113,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         ],
         "faces": [
             {
-                "dual_edge": _labels(f.dual_edge),
+                "dual_edge": _labels(f.dual_edge, names),
                 "weight": f.weight,
                 "direction": list(f.direction),
                 "vertices": list(f.vertex_ids),
@@ -127,28 +135,29 @@ def _check_enumeration_bound(cfg: PointConfig) -> None:
         )
 
 
-def _flag_doc(flag) -> list[list[str]]:
-    return [_labels(level) for level in flag]
+def _flag_doc(flag, names: Sequence[str]) -> list[list[str]]:
+    return [_labels(level, names) for level in flag]
 
 
 def _cmd_flags(args: argparse.Namespace) -> int:
     cfg, heights = load_input_file(args.input)
     _check_enumeration_bound(cfg)
     b = gale_dual(cfg)
+    names = _names(cfg)
     accepted = []
     for flag, case in enumerate_flags_of_flats(cfg, b):
         accepted.append(
             {
-                "levels": _flag_doc(flag),
+                "levels": _flag_doc(flag, names),
                 "case": case.case,
-                "circuit": _labels(case.circuit),
+                "circuit": _labels(case.circuit, names),
             }
         )
     doc: dict = {"accepted_flags": accepted}
     if heights is not None:
         flag = flag_of_subsets(heights)
         entry: dict = {
-            "levels": _flag_doc(flag),
+            "levels": _flag_doc(flag, names),
             "maximal": len(flag) == cfg.size - 4,
         }
         bad = all_levels_flats(b, flag)
@@ -166,21 +175,21 @@ def _cmd_flags(args: argparse.Namespace) -> int:
     return 0
 
 
-def _point_doc(sp, with_certificate: bool) -> dict:
+def _point_doc(sp, with_certificate: bool, names: Sequence[str]) -> dict:
     doc = {
         "location": list(sp.location),
         "label": sp.label,
-        "metric": _relabel_metric(sp.metric),
-        "routes": [[kind, _labels(idxs)] for kind, idxs in sp.routes],
+        "metric": _relabel_metric(sp.metric, names),
+        "routes": [[kind, _labels(idxs, names)] for kind, idxs in sp.routes],
     }
     if with_certificate:
         cert = sp.certificate
         doc["certificate"] = {
             "shifted_heights": list(cert.shifted),
-            "flag": _flag_doc(cert.flag),
+            "flag": _flag_doc(cert.flag, names),
             "maximal": cert.maximal,
             "case": cert.case,
-            "refinement": _flag_doc(cert.refinement) if cert.refinement else None,
+            "refinement": _flag_doc(cert.refinement, names) if cert.refinement else None,
             "discrepancy": cert.discrepancy,
         }
     return doc
@@ -189,28 +198,28 @@ def _point_doc(sp, with_certificate: bool) -> dict:
 _INDEX_METRIC_KEYS = {"circuit", "apexes", "interior_point", "triple"}
 
 
-def _relabel_metric(metric: dict) -> dict:
+def _relabel_metric(metric: dict, names: Sequence[str]) -> dict:
     out = {}
     for key, value in metric.items():
         if key in _INDEX_METRIC_KEYS:
             if isinstance(value, int):
-                out[key] = point_label(value)
+                out[key] = names[value]
             else:
-                out[key] = _labels(value)
+                out[key] = _labels(value, names)
         elif key == "pairs":
-            out[key] = [_labels(pair) for pair in value]
+            out[key] = [_labels(pair, names) for pair in value]
         else:
             out[key] = value
     return out
 
 
-def _report_doc(report: SingularityReport, with_certificate: bool) -> dict:
+def _report_doc(report: SingularityReport, with_certificate: bool, names: Sequence[str]) -> dict:
     return {
         "codim": report.codim,
         "max_dimensional": report.max_dimensional,
         "generic": report.generic,
-        "circuit": _circuit_doc(report.circuit) if report.circuit else None,
-        "points": [_point_doc(sp, with_certificate) for sp in report.points],
+        "circuit": _circuit_doc(report.circuit, names) if report.circuit else None,
+        "points": [_point_doc(sp, with_certificate, names) for sp in report.points],
         "refusals": [{"reason": r.reason, "detail": r.detail} for r in report.refusals],
         "notes": list(report.notes),
     }
@@ -220,7 +229,7 @@ def _cmd_singular(args: argparse.Namespace) -> int:
     cfg, heights = load_input_file(args.input)
     u = _require_heights(heights)
     report = classify(cfg, u)
-    sys.stdout.write(dumps(_report_doc(report, args.certificate)))
+    sys.stdout.write(dumps(_report_doc(report, args.certificate, _names(cfg))))
     if report.refused:
         for refusal in report.refusals:
             print(f"refused: {refusal.reason}", file=sys.stderr)

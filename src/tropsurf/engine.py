@@ -46,9 +46,9 @@ from .matroid import (
     ChainsReject,
     Flag,
     GaleDual,
+    _with_differences,
     all_levels_flats,
     chains_case,
-    difference_sets,
     flag_of_subsets,
     gale_dual,
     has_zero_column,
@@ -845,7 +845,8 @@ def _chain_scan(
     groups share one `_agreement`: `solve_affine` reads its answer off the
     reduced row echelon form, which depends on the row space alone.  Each
     point is tested once; a line system still clips to each chain's own
-    ordering steps.  Both memos live for this call only.
+    ordering steps.  Each step's difference set is computed once
+    (`_with_differences`).  All memos live for this call only.
     """
     heights = cfg.heights_from(u)
     b = gale_dual(cfg)
@@ -861,8 +862,7 @@ def _chain_scan(
             singular[p] = _is_singular(cfg, heights, p, b)
         return singular[p]
 
-    for chain in maximal_flat_chains(b):
-        diffs = difference_sets(chain)
+    for chain, diffs in _with_differences(maximal_flat_chains(b)):
         groups = tuple(sorted(d for d in diffs if len(d) > 1))
         if not groups:
             continue  # no two terms are forced equal

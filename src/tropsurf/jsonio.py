@@ -3,7 +3,10 @@
 Rationals travel as strings ("3/4", "-2"); input accepts integers and
 floats that are exact in binary only when they are integral, otherwise the
 string form is required.  Output is deterministic: sorted keys, fixed
-indentation, no floats.
+indentation, no floats.  `dumps` writes the bytes of
+``json.dumps(to_jsonable(x), sort_keys=True, indent=2)`` in one pass,
+dispatching on ``type()``; values of other types (dataclasses, enums,
+sets, subclasses) go through `to_jsonable` first.
 """
 
 from __future__ import annotations
@@ -117,5 +120,66 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text (sorted keys, two-space indent, newline-terminated)."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text (sorted keys, two-space indent, newline-terminated).
+
+    The bytes of ``json.dumps(to_jsonable(obj), sort_keys=True, indent=2)``
+    and a newline, written in one pass over ``obj``.
+    """
+    out: list[str] = []
+    _write(obj, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(obj: Any, emit, newline: str) -> None:
+    """Emit the JSON text of ``obj`` at the indentation that ends ``newline``.
+
+    Exact built-in types are written here, found by ``type()``; anything
+    else goes through `to_jsonable` first, which raises on floats.
+    """
+    t = type(obj)
+    if t is str:
+        emit(_escape(obj))
+    elif t is int:
+        emit(int.__repr__(obj))
+    elif t is Fraction:
+        emit(f'"{obj}"')
+    elif obj is None:
+        emit("null")
+    elif t is bool:
+        emit("true" if obj else "false")
+    elif t is list or t is tuple:
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for x in obj:
+            emit(sep)
+            sep = comma
+            _write(x, emit, inner)
+        emit(newline + "]")
+    elif t is dict:
+        if not obj:
+            emit("{}")
+            return
+        if any(type(k) is not str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k in sorted(obj):
+            emit(sep + _escape(k) + ": ")
+            sep = comma
+            _write(obj[k], emit, inner)
+        emit(newline + "}")
+    else:
+        plain = to_jsonable(obj)
+        if isinstance(plain, str):
+            emit(_escape(plain))
+        elif isinstance(plain, int) and not isinstance(plain, bool):
+            emit(int.__repr__(plain))
+        else:
+            _write(plain, emit, newline)

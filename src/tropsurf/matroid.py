@@ -10,18 +10,25 @@ the top difference set and the circuit type it carries.
 `gale_dual` returns a `GaleDual`: the rows of B together with a closure
 oracle for the matroid of its columns.  ``closure(S)`` collects the pivot
 rows of S's integer columns with `linalg._span_basis` and runs one
-`linalg._reduce` per other column, memoised for the life of the object.
+`linalg._reduce` per other column; ``covers(F)`` reduces each column once
+against F's pivot rows and reads every cover cl(F + e) off the classes of
+parallel residuals, one Bareiss step's zero test each.  Both are memoised
+for the life of the object, and every cover joins the closure memo.
 Every function here that asks about flats takes the object that the
 command made, never a bare matrix: flats are closures, and the lattice of
-flats is generated from cl(empty set) by the covers cl(F + e).  The same
-object also memoises `chains_case`'s circuit type per top difference set,
-keyed by its points, so a command that classifies many flags pays one
-`classify_circuit` for each distinct top set.  One walker,
-`_chains`, climbs those covers to list the chains of flats through the
-levels of a given flag (the flags of flats of the Bergman fan;
-Ardila-Klivans 2006): `maximal_flat_chains` takes every maximal chain, and
-`refine_to_accepted` the first refinement of a flag that the four-shape
-classifier accepts.
+flats is generated from cl(empty set) by the covers.  The same object also
+memoises, keyed by points, the circuit type of each top difference set and
+the planes of the chain shapes, so a command that classifies many flags
+pays one `classify_circuit` and one `_plane_normal` for each distinct set.
+One walker, `_chains`, climbs those covers to list the chains of flats
+through the levels of a given flag (the flags of flats of the Bergman fan;
+Ardila-Klivans 2006), with the flats above each flat listed once per call:
+`maximal_flat_chains` takes every maximal chain, and `refine_to_accepted`
+the first refinement of a flag that the four-shape classifier accepts.
+`chains_case` checks an arbitrary flag before its shape test
+`_chain_shape`; the walked chains are flats, strictly nested and maximal by
+construction, so they go to the shape test directly, with difference sets
+computed once per step (`_with_differences`).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import CircuitType, LatticePoint, NotACircuit, _plane_normal, affine_dim, classify_circuit
@@ -59,9 +67,11 @@ class GaleDual(tuple):
     every linear relation among the columns, so the columns are integer
     vectors.  Closures and covers are memoised by sorted index tuple for
     the life of the object, never across objects.  A third memo holds the
-    `classify_circuit` outcome of each top difference set that
-    `chains_case` has met (``None`` for `NotACircuit`), keyed by its point
-    tuple, so an object reused with other points cannot answer wrongly.
+    `classify_circuit` outcome of each top difference set that the chain
+    shape test has met (``None`` for `NotACircuit`), and a fourth the plane
+    of each point set a shape's side conditions use; both are keyed by
+    point tuple, so an object reused with other points cannot answer
+    wrongly.
     """
 
     def __new__(cls, rows: Iterable[Vector], size: int = 0) -> "GaleDual":
@@ -75,6 +85,7 @@ class GaleDual(tuple):
         self._closures: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._covers: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._circuit_types: dict[tuple[LatticePoint, ...], CircuitType | None] = {}
+        self._planes: dict[tuple[LatticePoint, ...], tuple[tuple[int, ...], LatticePoint]] = {}
         self.rank = len(_span_basis(self._columns))
 
     def closure(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -97,18 +108,44 @@ class GaleDual(tuple):
         return self.closure(key) == key
 
     def covers(self, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The flats covering ``flat``: the distinct closures cl(flat + e)."""
+        """The flats covering ``flat``: the distinct closures cl(flat + e).
+
+        The pivot rows of ``flat`` are built once, and every other column is
+        reduced once against them.  Column j lies in cl(flat + e) iff one
+        more Bareiss step, with e's residual r as the next pivot, sends j's
+        residual v to zero, that is iff ``r[c] * v == v[c] * r`` (c the pivot
+        column of r; the step's exact division cannot change a zero): iff v
+        is parallel to r.  So the covers are cl(flat) plus one class of
+        parallel residuals each (the parallel classes of the contraction by
+        ``flat``), in the order of their smallest member.  Each cover joins
+        the closure memo.  For a set that is not a flat, these are the flats
+        covering its closure.
+        """
         found = self._covers.get(flat)
         if found is None:
-            seen = set(flat)
+            basis = _span_basis(self._columns[j] for j in flat)
+            below = set(flat)
+            classes: dict[tuple[int, ...], list[int]] = {}
+            for j in range(self.size):
+                if j not in below:
+                    classes.setdefault(_direction(_reduce(basis, self._columns[j])), []).append(j)
+            # columns in the span of ``flat`` (zero residual) lie in every cover
+            below.update(classes.pop((0,) * len(self), ()))
             out = []
-            for e in range(self.size):
-                if e not in seen:
-                    cover = self.closure(flat + (e,))
-                    seen.update(cover)  # cl(flat + e') is this cover for every e' in it
-                    out.append(cover)
+            for members in classes.values():
+                cover = tuple(sorted(below.union(members)))
+                self._closures[tuple(sorted(flat + (members[0],)))] = self._closures[cover] = cover
+                out.append(cover)
             found = self._covers[flat] = tuple(out)
         return found
+
+
+def _direction(v: Sequence[int]) -> tuple[int, ...]:
+    """``v`` divided by the gcd of its entries, first nonzero entry positive."""
+    g = gcd(*v)
+    if g and next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v) if g else tuple(v)
 
 
 def gale_dual(cfg: PointConfig) -> GaleDual:
@@ -144,8 +181,24 @@ def difference_sets(flag: Flag) -> tuple[tuple[int, ...], ...]:
     """The per-level difference sets of a flag (same order as the flag)."""
     out = [flag[0]]
     for prev, cur in zip(flag, flag[1:]):
-        out.append(tuple(sorted(set(cur) - set(prev))))
+        below = set(prev)
+        out.append(tuple(i for i in cur if i not in below))
     return tuple(out)
+
+
+def _with_differences(chains: Iterable[Flag]) -> Iterator[tuple[Flag, tuple[tuple[int, ...], ...]]]:
+    """Each chain of flats with its `difference_sets`, each step's set
+    computed once: chains share their steps (lower flat, upper flat)."""
+    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    for chain in chains:
+        diffs = [chain[0]]
+        for step in zip(chain, chain[1:]):
+            d = steps.get(step)
+            if d is None:
+                below = set(step[0])
+                d = steps[step] = tuple(i for i in step[1] if i not in below)
+            diffs.append(d)
+        yield chain, tuple(diffs)
 
 
 def all_levels_flats(b: GaleDual, flag: Flag) -> int | None:
@@ -195,7 +248,7 @@ def chains_case(cfg: PointConfig, flag: Flag, b: GaleDual) -> ChainsCase | Chain
     the right type, the lower difference-set pattern, and the geometric side
     conditions of the matched shape.  The first violated clause is reported.
     ``b`` is the `gale_dual` of ``cfg``; it memoises the circuit type of each
-    top difference set.
+    top difference set and each plane that a shape's side conditions use.
     """
     s = cfg.size
     if len(flag) != s - 4:
@@ -204,13 +257,29 @@ def chains_case(cfg: PointConfig, flag: Flag, b: GaleDual) -> ChainsCase | Chain
     bad = all_levels_flats(b, flag)
     if bad is not None:
         return ChainsReject(clause=f"level {bad + 1} is not a flat")
-    diffs = difference_sets(flag)
+    return _chain_shape(cfg, difference_sets(flag), b)
+
+
+def _plane(b: GaleDual, points: tuple[LatticePoint, ...]) -> tuple[tuple[int, ...], LatticePoint]:
+    """``(normal, base)`` of the plane through coplanar ``points``, memoised
+    on ``b`` by the point tuple."""
+    found = b._planes.get(points)
+    if found is None:
+        found = b._planes[points] = (_plane_normal(points), points[0])
+    return found
+
+
+def _chain_shape(
+    cfg: PointConfig, diffs: tuple[tuple[int, ...], ...], b: GaleDual
+) -> ChainsCase | ChainsReject:
+    """`chains_case` after its checks on the levels: the shape of a maximal
+    chain of flats, given its difference sets."""
     top = diffs[-1]
     lower = diffs[:-1]
     if len(top) not in (3, 4, 5):
         return ChainsReject(clause=f"top difference set has size {len(top)}")
-    top_pts = [cfg.points[i] for i in top]
-    key = tuple(top_pts)
+    key = tuple(cfg.points[i] for i in top)
+    top_pts = list(key)
     if key not in b._circuit_types:
         try:
             b._circuit_types[key] = classify_circuit(top_pts)
@@ -236,7 +305,7 @@ def chains_case(cfg: PointConfig, flag: Flag, b: GaleDual) -> ChainsCase | Chain
         if others or len(pairs) != 1:
             return ChainsReject(clause="difference sets below a size-4 circuit must be one pair and singletons")
         j, pair = pairs[0]
-        normal, base = _plane_normal(top_pts), top_pts[0]
+        normal, base = _plane(b, key)
         for l, d in enumerate(lower):
             if l > j and not _on_plane(normal, base, cfg.points[d[0]]):
                 return ChainsReject(
@@ -279,10 +348,10 @@ def chains_case(cfg: PointConfig, flag: Flag, b: GaleDual) -> ChainsCase | Chain
                 return ChainsReject(
                     clause=f"point {d[0]} above the upper pair is off the circuit line"
                 )
-        high_pts = [cfg.points[x] for x in high]
-        if affine_dim(top_pts + high_pts) != 2:
+        spanned = key + tuple(cfg.points[x] for x in high)
+        if affine_dim(spanned) != 2:
             return ChainsReject(clause="upper pair does not span a plane with the circuit line")
-        normal, base = _plane_normal(top_pts + high_pts), top_pts[0]
+        normal, base = _plane(b, spanned)
         for l, d in enumerate(lower):
             if i < l < j and len(d) == 1 and not _on_plane(normal, base, cfg.points[d[0]]):
                 return ChainsReject(
@@ -348,14 +417,18 @@ def _chains(b: GaleDual, flag: Flag, length: int) -> Iterator[Flag]:
         return
     inside = [set(level) for level in flag]
     chain: list[tuple[int, ...]] = []
+    memo: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
 
     def above(flat: tuple[int, ...], most: int) -> list[tuple[tuple[int, ...], int]]:
         """The flats 1 to ``most`` covers up from ``flat``, each with its distance."""
-        found, layer = [], {flat}
-        for d in range(1, most + 1):
-            layer = {c for f in layer for c in b.covers(f)}
-            found += ((g, d) for g in layer)
-        return sorted(found, key=lambda gd: (len(gd[0]), gd[0]))
+        found = memo.get((flat, most))
+        if found is None:
+            found, layer = [], {flat}
+            for d in range(1, most + 1):
+                layer = {c for f in layer for c in b.covers(f)}
+                found += ((g, d) for g in layer)
+            found = memo[flat, most] = sorted(found, key=lambda gd: (len(gd[0]), gd[0]))
+        return found
 
     def walk(flat: tuple[int, ...], flat_rank: int, k: int) -> Iterator[Flag]:
         left = length - len(chain)
@@ -385,8 +458,8 @@ def maximal_flat_chains(b: GaleDual) -> tuple[Flag, ...]:
 def enumerate_flags_of_flats(cfg: PointConfig, b: GaleDual) -> tuple[tuple[Flag, ChainsCase], ...]:
     """All maximal flags of flats accepted by the four-case classifier."""
     out = []
-    for chain in maximal_flat_chains(b):
-        case = chains_case(cfg, chain, b)
+    for chain, diffs in _with_differences(maximal_flat_chains(b)):
+        case = _chain_shape(cfg, diffs, b)
         if isinstance(case, ChainsCase):
             out.append((chain, case))
     return tuple(out)
@@ -423,8 +496,8 @@ def refine_to_accepted(cfg: PointConfig, flag: Flag, b: GaleDual) -> tuple[Flag,
     """The first maximal chain of flats through every level of ``flag`` that
     the classifier accepts, with its case, or None.
     """
-    for chain in _chains(b, flag, cfg.size - 4):
-        case = chains_case(cfg, chain, b)
+    for chain, diffs in _with_differences(_chains(b, flag, cfg.size - 4)):
+        case = _chain_shape(cfg, diffs, b)
         if isinstance(case, ChainsCase):
             return chain, case
     return None

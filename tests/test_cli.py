@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tropsurf import catalogs, cli, engine, lattice, linalg, matroid, subdivision, surface
 from tropsurf.cli import main, point_label
@@ -330,6 +334,64 @@ def test_heights_required_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "singular", str(path))
     assert code == 2
     assert "heights" in err
+
+
+_coords = st.integers(-3, 3)
+_junk = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1/2", "abc", "2", "1/0", "-3/4", "", "0x1"]),
+    st.sampled_from([0.5, 2.0, -1.0, float("nan"), float("inf"), float("-inf")]),
+    st.lists(_coords, max_size=4),
+    st.dictionaries(st.just("x"), _coords, max_size=1),
+)
+_FLAWS = ["none", "none", "none", "point", "coordinate", "height", "heights", "points", "missing", "document"]
+
+
+@st.composite
+def _input_documents(draw):
+    """Small input documents: n <= 8 points with coordinates in [-3, 3] and
+    rational heights, with at most one flaw: a point, a coordinate, a height
+    or a whole field misshapen, a bool, a string or a non-finite number, a
+    field missing, or no object at all."""
+    n = draw(st.integers(0, 8))
+    triple = st.lists(_coords, min_size=3, max_size=3)
+    points = draw(st.lists(triple, min_size=n, max_size=n, unique_by=tuple))
+    height = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4).map(str))
+    heights = draw(st.lists(height, min_size=n, max_size=n))
+    doc: dict = {"points": points, "heights": heights}
+    flaw = draw(st.sampled_from(_FLAWS))
+    if flaw == "point" and n:
+        points[draw(st.integers(0, n - 1))] = draw(_junk)
+    elif flaw == "coordinate" and n:
+        points[draw(st.integers(0, n - 1))][draw(st.integers(0, 2))] = draw(_junk)
+    elif flaw == "height" and n:
+        heights[draw(st.integers(0, n - 1))] = draw(_junk)
+    elif flaw == "heights":
+        doc["heights"] = draw(st.one_of(_junk, st.lists(height, max_size=9)))
+    elif flaw == "points":
+        doc["points"] = draw(_junk)
+    elif flaw == "missing":
+        del doc[draw(st.sampled_from(["points", "heights"]))]
+    elif flaw == "document":
+        return draw(st.one_of(_junk, st.just([])))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_input_documents())
+def test_malformed_inputs_never_exit_3(doc):
+    """Whatever the input document, each command answers, refuses or
+    reports an input error (exit 0, 1 or 2), never an internal error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # writes NaN and Infinity as bare tokens
+        for command in ("subdivide", "surface", "flags", "singular", "oracle"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, path])
+            assert code in (0, 1, 2), (command, doc, err.getvalue())
 
 
 SIMPLEX = {"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "heights": [0, 0, 0, 0]}

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from enum import Enum, IntEnum
 from fractions import Fraction
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,3 +114,81 @@ def test_to_jsonable_sorts_sets():
 @given(st.fractions(max_denominator=1000))
 def test_fraction_round_trip(x):
     assert parse_fraction(json.loads(dumps(x))) == x
+
+
+# ---------------------------------------------------------------------------
+# the one-pass writer against json.dumps of to_jsonable
+
+
+class _Colour(Enum):
+    RED = "red"
+    BLUE = 2
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10**20
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+@dataclass(frozen=True)
+class _Box:
+    first: Any
+    second: Any
+
+
+def _reference(x) -> str:
+    return json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\n"
+
+
+_texts = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\r\x00\x1f\x7féü\u2028\u00a0\U0001f600'), st.characters()),
+    max_size=8,
+)
+_leaves = st.one_of(
+    st.fractions(max_denominator=50),
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.none(),
+    _texts,
+    st.sampled_from([*_Colour, *_Level]),
+    st.integers(-5, 5).map(_Int),
+    _texts.map(_Str),
+    st.frozensets(st.one_of(st.integers(-9, 9), _texts), max_size=4),
+    st.sampled_from([[], (), {}, set(), frozenset()]),
+)
+_keys = st.one_of(_texts, st.integers(-3, 3), st.booleans(), st.none())
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.builds(_Box, inner, inner),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_dumps_matches_json_dumps_of_to_jsonable(doc):
+    assert dumps(doc) == _reference(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_documents, st.floats(allow_nan=True, allow_infinity=True), st.integers(0, 2))
+def test_dumps_refuses_floats_anywhere(doc, x, where):
+    wrapped = [[doc, x], {"k": (x, doc)}, _Box(doc, [x])][where]
+    with pytest.raises(AssertionError):
+        _reference(wrapped)
+    with pytest.raises(AssertionError):
+        dumps(wrapped)

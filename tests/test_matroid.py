@@ -1,21 +1,26 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.frozen import (
+    B12,
     CODIM2,
     DEFECTIVE8,
     DEFECTIVE8_WITNESS,
     EX_THOMAS,
     PENTATOPE,
+    TETRA5,
+    TOY_D,
+    TRAPEZE,
     U_DEF_NEIGHBOR_FH,
     U_DEF_NEIGHBOR_GH,
     U_DEFECTIVE8,
@@ -24,7 +29,7 @@ from tests.frozen import (
     WORKED_SWEEP,
     worked_heights,
 )
-from tropsurf import matroid
+from tropsurf import linalg, matroid
 from tropsurf.lattice import CircuitType
 from tropsurf.linalg import mat, vec_scale
 from tropsurf.matroid import (
@@ -453,3 +458,110 @@ def test_plane6_apex_has_a_loop():
 def test_refine_order_matches_partition_search_on_random_heights(cfg, heights):
     flag = flag_of_subsets(heights)
     assert refine_to_accepted(cfg, flag, gale_dual(cfg)) == _ref_refine(cfg, flag)
+
+
+# ---------------------------------------------------------------------------
+# covers: one reduction per column, checked against the reference closure
+
+
+class _RankMemoRef(_RefMatroid):
+    """`_RefMatroid` with each subset's rank computed once."""
+
+    def __init__(self, b) -> None:
+        super().__init__(b)
+        self._ranks: dict[tuple[int, ...], int] = {}
+
+    def rank(self, subset) -> int:
+        key = tuple(sorted(subset))
+        if key not in self._ranks:
+            self._ranks[key] = _ref_rank([self.cols[j] for j in key])
+        return self._ranks[key]
+
+    def in_span(self, subset, k) -> bool:
+        return self.rank(tuple(subset) + (k,)) == self.rank(subset)
+
+
+def _ref_covers(ref, flat):
+    """The distinct closures cl(flat + e), in the order of their smallest new element."""
+    seen, out = set(flat), []
+    for e in range(ref.size):
+        if e not in seen:
+            cover = ref.closure(tuple(sorted(flat + (e,))))
+            seen.update(cover)
+            out.append(cover)
+    return tuple(out)
+
+
+def _ref_flats(ref):
+    """Every flat, walked up from cl(empty set) by the reference's own covers."""
+    found, layer = set(), {ref.closure(())}
+    while layer:
+        found |= layer
+        layer = {c for f in layer for c in _ref_covers(ref, f)} - found
+    return sorted(found, key=lambda f: (len(f), f))
+
+
+def _cube_configs(seed: int, count: int) -> list[PointConfig]:
+    """Seeded configurations of 5 to 10 points of {0, 1, 2}^3 that span space."""
+    rng = random.Random(seed)
+    cube = list(product(range(3), repeat=3))
+    out = []
+    while len(out) < count:
+        pts = tuple(rng.sample(cube, 5 + len(out) % 6))
+        if _ref_rank([(1, *p) for p in pts]) == 4:
+            out.append(PointConfig(pts))
+    return out
+
+
+_COVER_CONFIGS = [
+    EX_THOMAS, WORKED, DEFECTIVE8, CODIM2, PENTATOPE, TETRA5, TOY_D, TRAPEZE, B12, PLANE6_APEX,
+] + _cube_configs(11, 24)
+
+
+@pytest.mark.parametrize("cfg", _COVER_CONFIGS, ids=lambda cfg: f"n{cfg.size}")
+def test_covers_match_reference_closures(cfg):
+    """On every flat, `GaleDual.covers` lists the reference's closures
+    cl(F + e), each once, in the order of their smallest new element; and
+    every closure it memoised is the reference's."""
+    b = gale_dual(cfg)
+    ref = _RankMemoRef(b)
+    for flat in _ref_flats(ref):
+        assert b.covers(flat) == _ref_covers(ref, flat), flat
+    for key, closed in b._closures.items():
+        assert closed == ref.closure(key), key
+
+
+@pytest.mark.parametrize("cfg", [WORKED, DEFECTIVE8] + _cube_configs(12, 6), ids=lambda cfg: f"n{cfg.size}")
+def test_covers_reduce_each_column_once(monkeypatch, cfg):
+    """`covers(F)` on a fresh object makes at most one `_reduce` per column:
+    one per column of F to build its pivot rows, one per other column."""
+    calls = []
+    for module in (linalg, matroid):
+        original = module._reduce
+        monkeypatch.setattr(
+            module, "_reduce", lambda basis, v, original=original: calls.append(1) or original(basis, v)
+        )
+    for flat in (gale_dual(cfg).closure(()),) + all_flats(gale_dual(cfg)):
+        b = gale_dual(cfg)
+        calls.clear()
+        b.covers(flat)
+        assert len(calls) <= cfg.size, flat
+
+
+@pytest.mark.parametrize("cfg", [WORKED, DEFECTIVE8], ids=str)
+def test_flag_listing_computes_each_plane_once(monkeypatch, cfg):
+    """`enumerate_flags_of_flats` takes the plane of each planar top set once,
+    and the plane of each circuit line with an upper pair (case d) once."""
+    calls = []
+    original = matroid._plane_normal
+    monkeypatch.setattr(matroid, "_plane_normal", lambda pts: calls.append(tuple(pts)) or original(pts))
+    b = gale_dual(cfg)
+    enumerate_flags_of_flats(cfg, b)
+    planar_tops = set()
+    for chain in maximal_flat_chains(b):
+        top = difference_sets(chain)[-1]
+        if len(top) == 4:
+            planar_tops.add(tuple(cfg.points[i] for i in top))
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert len([c for c in calls if len(c) == 4]) <= len(planar_tops)
